@@ -196,27 +196,39 @@ class ChoiceDataset:
         """Multiset of observations (with repeats), renumbered 0..n-1.
 
         Used by bootstrap resampling: each occurrence of an observation id in
-        ``obs_order`` becomes a fresh observation in the result.
+        ``obs_order`` becomes a fresh observation in the result. An id not in
+        the data raises ``KeyError``.
         """
         uniq = self.unique_obs()
-        pos_of = {int(o): i for i, o in enumerate(uniq)}
-        ptr = self._obs_ptr
-        rows = []
-        new_obs = []
-        for new_id, o in enumerate(np.asarray(obs_order)):
-            i = pos_of[int(o)]
-            sl = np.arange(ptr[i], ptr[i + 1])
-            rows.append(sl)
-            new_obs.append(np.full(sl.shape[0], new_id, dtype=np.int64))
-        rows = np.concatenate(rows)
+        obs_order = np.asarray(obs_order)
+        positions = np.searchsorted(uniq, obs_order)
+        if not np.array_equal(uniq.take(positions, mode="clip"), obs_order):
+            raise KeyError("resample names an observation id not in the data")
+        rows, ptr = gather_obs_rows(self._obs_ptr, positions)
         return ChoiceDataset(
-            obs_ids=np.concatenate(new_obs),
+            obs_ids=np.repeat(np.arange(positions.shape[0]), np.diff(ptr)),
             alt_ids=self.alt_ids[rows],
             chosen=self.chosen[rows],
             weights=self.weights[rows],
             covariates=self.covariates[rows],
             columns=self.columns,
         )
+
+
+def gather_obs_rows(obs_ptr: np.ndarray, positions) -> tuple[np.ndarray, np.ndarray]:
+    """Rows of the observations at ``positions``, in that order, repeats allowed.
+
+    ``obs_ptr`` holds the row boundaries of each observation (as
+    ``ChoiceDataset.obs_ptr``). Returns the gathered row indices and the row
+    boundaries of the gathered observations.
+    """
+    positions = np.asarray(positions, dtype=np.int64)
+    starts = obs_ptr[positions]
+    counts = obs_ptr[positions + 1] - starts
+    ptr = np.zeros(positions.shape[0] + 1, dtype=np.int64)
+    np.cumsum(counts, out=ptr[1:])
+    rows = np.arange(ptr[-1]) + np.repeat(starts - ptr[:-1], counts)
+    return rows, ptr
 
 
 def load_csv(path, schema: SchemaMapping | None = None) -> ChoiceDataset:
@@ -311,11 +323,13 @@ def write_csv(data: ChoiceDataset, path, weight_column: str = "weight") -> None:
             )
 
 
-def observed_shares(data: ChoiceDataset) -> dict[int, float]:
+def observed_shares(data) -> dict[int, float]:
     """Weighted share of observations choosing each alternative.
 
-    Every alternative present in the data appears in the result, with share
-    0.0 for alternatives never chosen. Shares sum to one.
+    ``data`` is a ``ChoiceDataset`` or a compiled ``likelihood.Design``; both
+    provide ``alternatives``, ``chosen_alt_by_obs()`` and ``obs_weights()``.
+    Every alternative of the data appears in the result, with share 0.0 for
+    alternatives never chosen. Shares sum to one.
     """
     w = data.obs_weights()
     chosen_alt = data.chosen_alt_by_obs()

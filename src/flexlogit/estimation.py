@@ -41,6 +41,7 @@ from .likelihood import (
     Packing,
     build_design,
     gradient_with_design,
+    ll_by_alternative_with_design,
     ll_with_design,
     validate_params,
 )
@@ -104,8 +105,10 @@ class EstimationResult:
         return self.status == "converged"
 
 
-def default_init(data: ChoiceDataset, spec: ModelSpec) -> np.ndarray:
+def default_init(data: ChoiceDataset | Design, spec: ModelSpec) -> np.ndarray:
     """Packed starting point: beta = 0, share-matched intercepts, flat shapes.
+
+    ``data`` may be a dataset or a design compiled from one.
 
     With S(V=0) constant across alternatives, intercepts
     tau_j = log(share_j / share_ref) reproduce the observed chosen shares
@@ -301,7 +304,7 @@ def _run_cascade(f, g, x0, opts):
 
 
 def fit(
-    data: ChoiceDataset,
+    data: ChoiceDataset | Design,
     spec: ModelSpec,
     init: np.ndarray | NaturalParams | None = None,
     options: FitOptions | None = None,
@@ -312,15 +315,16 @@ def fit(
     ``init`` may be a packed vector or ``NaturalParams``; when omitted the
     share-matched default is used. With ``multistart=k`` the cascade also runs
     from k seeded perturbations of the init and the best final
-    log-likelihood wins.
+    log-likelihood wins. ``data`` may be a dataset or a design compiled
+    from one against ``spec``; a design is used as is.
     """
     opts = options or FitOptions()
-    design = build_design(data, spec)
+    design = data if isinstance(data, Design) else build_design(data, spec)
     pk = design.packing
     if init is None:
-        x0 = default_init(data, spec)
+        x0 = default_init(design, spec)
     elif isinstance(init, NaturalParams):
-        validate_params(spec, init, data.alternatives)
+        validate_params(spec, init, design.alternatives)
         x0 = pk.pack(init)
     else:
         x0 = np.asarray(init, dtype=float).ravel()
@@ -353,10 +357,10 @@ def fit(
     x, fx, gx, iters, status, optimizer_used, path = best
 
     params = pk.unpack(x)
+    # shapes that under- or overflowed at the optimum are not admissible
+    validate_params(spec, params, design.alternatives)
     ll, floored = ll_with_design(design, spec, params, opts.use_weights)
     hess = fd_hessian(design, spec, params, opts.use_weights) if compute_hessian else None
-
-    from .likelihood import ll_by_alternative
 
     return EstimationResult(
         spec=spec,
@@ -364,7 +368,9 @@ def fit(
         packed=x,
         param_names=pk.names(),
         ll=ll,
-        ll_by_alt=ll_by_alternative(data, spec, params, opts.use_weights),
+        ll_by_alt=ll_by_alternative_with_design(
+            design, spec, params, opts.use_weights
+        ),
         score=-gx,
         grad_norm_inf=float(np.max(np.abs(gx))),
         hessian=hess,
@@ -373,5 +379,5 @@ def fit(
         optimizer_used=optimizer_used,
         ll_path=path,
         n_floored=floored,
-        alternatives=data.alternatives,
+        alternatives=design.alternatives,
     )

@@ -5,8 +5,11 @@ the full one (the caller asserts nesting by supplying the degrees of
 freedom). The bootstrap resamples observations with replacement, by default
 stratified on the chosen alternative so every replicate preserves the
 observed per-alternative choice counts, and refits the model on each
-replicate warm-started from the full-sample estimate. Intervals come from
-the bias-corrected and accelerated (BCa) construction: the bias correction
+replicate warm-started from the full-sample estimate. The data is compiled
+once: each replicate and each leave-one-out jackknife sample is a row gather
+(``Design.take``) of that one design, so every refit keeps the full
+alternative set and the packed layout of the full-sample fit. Intervals come
+from the bias-corrected and accelerated (BCa) construction: the bias correction
 z0 is read off the share of replicates below the point estimate (ties count
 half) and the acceleration is the standard jackknife skewness ratio.
 """
@@ -26,6 +29,7 @@ from .errors import (
     TooManyFailures,
 )
 from .estimation import EstimationResult, FitOptions, fit
+from .likelihood import build_design
 
 __all__ = [
     "LRTestResult",
@@ -134,13 +138,15 @@ def bootstrap(
     from .parallel import parallel_map
 
     opts = options or FitOptions()
-    full = fit(data, spec, options=opts, compute_hessian=False)
+    design = build_design(data, spec)
+    full = fit(design, spec, options=opts, compute_hessian=False)
     x_hat = full.packed
+    uniq = data.unique_obs()
 
     def one_replicate(b: int) -> tuple[np.ndarray, bool]:
         rng = np.random.default_rng(np.random.SeedSequence((seed, b)))
-        sample = data.resample(_resample_ids(data, rng, stratified))
-        return _refit(sample, spec, x_hat, opts)
+        ids = _resample_ids(data, rng, stratified)
+        return _refit(design.take(np.searchsorted(uniq, ids)), spec, x_hat, opts)
 
     replicate = parallel_map(one_replicate, range(B), threads)
     estimates = np.vstack([r[0] for r in replicate])
@@ -150,12 +156,12 @@ def bootstrap(
             f"{failures} of {B} bootstrap replicates failed to converge"
         )
 
-    uniq = data.unique_obs()
-    def one_jackknife(i: int) -> np.ndarray:
-        sample = data.subset(np.delete(uniq, i))
-        return _refit(sample, spec, x_hat, opts)[0]
+    n = uniq.shape[0]
 
-    jack = np.vstack(parallel_map(one_jackknife, range(uniq.shape[0]), threads))
+    def one_jackknife(i: int) -> np.ndarray:
+        return _refit(design.take(np.delete(np.arange(n), i)), spec, x_hat, opts)[0]
+
+    jack = np.vstack(parallel_map(one_jackknife, range(n), threads))
 
     return BootstrapRun(
         replicate_estimates=estimates,

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import ChoiceDataset
+from .data import ChoiceDataset, gather_obs_rows
 from .errors import (
     InvalidParams,
     MissingColumn,
@@ -344,6 +344,37 @@ class Design:
     alternatives: tuple[int, ...]
     packing: Packing
 
+    def chosen_alt_by_obs(self) -> np.ndarray:
+        return np.asarray(self.alternatives)[self.alt_index[self.chosen_rows]]
+
+    def obs_weights(self) -> np.ndarray:
+        return self.weights_obs
+
+    def take(self, obs_positions) -> "Design":
+        """Design of the observations at ``obs_positions``, in that order.
+
+        Positions index observations in canonical order and may repeat. The
+        arrays equal those ``build_design`` compiles from the matching
+        ``ChoiceDataset.resample`` (or, for ascending positions without
+        repeats, ``subset``), row for row. ``alternatives`` and ``packing``
+        stay those of the full data even when the gathered observations never
+        offer some alternative, so one packed vector fits every gather.
+        """
+        positions = np.asarray(obs_positions, dtype=np.int64)
+        rows, ptr = gather_obs_rows(self.obs_ptr, positions)
+        chosen = self.chosen[rows]
+        return Design(
+            X=self.X[rows],
+            alt_index=self.alt_index[rows],
+            obs_ptr=ptr,
+            row_obs=np.repeat(np.arange(positions.shape[0]), np.diff(ptr)),
+            chosen=chosen,
+            chosen_rows=np.flatnonzero(chosen),
+            weights_obs=self.weights_obs[positions],
+            alternatives=self.alternatives,
+            packing=self.packing,
+        )
+
 
 def build_design_matrix(spec: ModelSpec, covariates, columns, alt_ids, alternatives):
     """Assemble the (n_rows, n_coefficients) index design matrix.
@@ -499,13 +530,20 @@ def ll_by_alternative(
 ) -> dict[int, float]:
     """Log-likelihood split by the chosen alternative; values sum to the total."""
     validate_params(spec, params, data.alternatives)
-    d = build_design(data, spec)
-    logp, *_ = _chosen_logprobs(d, spec, params)
-    w = d.weights_obs if use_weights else np.ones(d.weights_obs.shape[0])
+    return ll_by_alternative_with_design(
+        build_design(data, spec), spec, params, use_weights
+    )
+
+
+def ll_by_alternative_with_design(
+    design: Design, spec, params, use_weights=False
+) -> dict[int, float]:
+    logp, *_ = _chosen_logprobs(design, spec, params)
+    w = design.weights_obs if use_weights else np.ones(design.weights_obs.shape[0])
     contrib = w * logp
-    chosen_alt = data.chosen_alt_by_obs()
+    chosen_alt = design.chosen_alt_by_obs()
     return {
-        int(a): float(np.sum(contrib[chosen_alt == a])) for a in data.alternatives
+        int(a): float(np.sum(contrib[chosen_alt == a])) for a in design.alternatives
     }
 
 

@@ -5,7 +5,9 @@ stratum the observations are shuffled with the given seed and dealt
 round-robin to folds, so per-fold per-alternative counts differ by at most
 one. ``cross_validate`` fits each spec on every training complement from the
 default init and scores the held-out log-likelihood; specs are compared on
-the mean held-out log-likelihood across folds.
+the mean held-out log-likelihood across folds. Each spec compiles the data
+once; every training complement and held-out fold is a row gather
+(``Design.take``) of that design.
 """
 
 from __future__ import annotations
@@ -98,22 +100,21 @@ def cross_validate(
 
     opts = options or FitOptions()
     plan = plan or make_folds(data, k, seed)
-    folds = [plan.fold_obs(f) for f in range(plan.k)]
     uniq = data.unique_obs()
+    folds = [np.searchsorted(uniq, plan.fold_obs(f)) for f in range(plan.k)]
+    designs = {label: build_design(data, spec) for label, spec in specs.items()}
 
     def one_cell(job):
         label, spec, f = job
-        test_ids = folds[f]
-        train_ids = np.setdiff1d(uniq, test_ids)
-        train = data.subset(train_ids)
-        test = data.subset(test_ids)
+        design = designs[label]
+        train = design.take(np.setdiff1d(np.arange(uniq.shape[0]), folds[f]))
         try:
             res = fit(train, spec, options=opts, compute_hessian=False)
         except EstimationError:
             return {"spec": label, "fold": f, "converged": False,
                     "train_ll": np.nan, "test_ll": np.nan}
         test_ll, _ = ll_with_design(
-            build_design(test, spec), spec, res.params, opts.use_weights
+            design.take(folds[f]), spec, res.params, opts.use_weights
         )
         return {"spec": label, "fold": f, "converged": res.converged,
                 "train_ll": res.ll, "test_ll": test_ll}

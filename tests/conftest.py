@@ -46,6 +46,27 @@ def spec_for(transform, ref=3, columns=("time", "cost"), shape_ref=None):
     )
 
 
+def scobit_dataset(n_obs, seed, weights=None):
+    """Simulated scobit market (J=3) whose fits converge in few iterations
+    for every family; optional per-observation weights."""
+    true = NaturalParams(
+        beta=[-1.0, 0.8], tau={1: 0.4, 2: -0.2}, gamma={1: 2.0, 2: 1.0, 3: 0.5}
+    )
+    d = simulate(SimulationConfig(
+        spec=spec_for("scobit"),
+        true_params=true,
+        alternatives=(1, 2, 3),
+        n_obs=n_obs,
+        covariates=(CovariateSpec("time", -2, 2), CovariateSpec("cost", -2, 2)),
+        seed=seed,
+    ))
+    if weights is None:
+        return d
+    return ChoiceDataset(obs_ids=d.obs_ids, alt_ids=d.alt_ids, chosen=d.chosen,
+                         weights=np.repeat(weights, 3), covariates=d.covariates,
+                         columns=d.columns)
+
+
 @pytest.fixture(scope="session")
 def mnl_sim_small():
     """Simulated MNL data reused across test modules (n=600, J=3)."""

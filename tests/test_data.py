@@ -104,6 +104,8 @@ def test_subset_and_resample():
     orig = d.covariates[d.obs_ids == 4]
     np.testing.assert_array_equal(r.covariates[r.obs_ids == 0], orig)
     np.testing.assert_array_equal(r.covariates[r.obs_ids == 1], orig)
+    with pytest.raises(KeyError):
+        d.resample(np.array([4, 99]))
 
 
 def test_csv_round_trip(tmp_path):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from flexlogit.data import ChoiceDataset
 from flexlogit.errors import (
     DegenerateDistribution,
     NegativeStatBeyondSlack,
@@ -16,8 +17,12 @@ from flexlogit.inference import (
     percentile_interval,
     _resample_ids,
 )
+from flexlogit.likelihood import build_design
+from flexlogit.validation import cross_validate
 
-from conftest import mnl_spec, toy_dataset
+from conftest import mnl_spec, scobit_dataset, spec_for, toy_dataset
+
+ORACLE_FAMILIES = ("mnl", "scobit", "uneven_logit", "asym_logit")
 
 
 def test_chi2_sf_frozen_values():
@@ -101,6 +106,82 @@ def test_bootstrap_too_many_failures():
     # a zero-iteration budget cannot converge anywhere
     with pytest.raises(TooManyFailures):
         bootstrap(d, mnl_spec(), B=5, options=FitOptions(max_iter=0))
+
+
+def test_bootstrap_keeps_rare_alternative():
+    """Alternative 4 is offered only in observation 7, so the jackknife
+    sample without it never offers 4; every refit still uses the full
+    packed layout."""
+    d = toy_dataset(n_obs=60, seed=8)
+    chosen = d.chosen.copy()
+    chosen[d.obs_ids == 7] = False
+    rare = ChoiceDataset(
+        obs_ids=np.append(d.obs_ids, 7),
+        alt_ids=np.append(d.alt_ids, 4),
+        chosen=np.append(chosen, True),
+        weights=np.append(d.weights, 1.0),
+        covariates=np.vstack([d.covariates, [[0.5, -0.5]]]),
+        columns=d.columns,
+    )
+    run = bootstrap(rare, mnl_spec(), B=5)
+    assert run.param_names == (
+        "beta:time", "beta:cost", "tau:1", "tau:2", "tau:4"
+    )
+    assert run.replicate_estimates.shape == (5, 5)
+    assert run.jackknife_estimates.shape == (60, 5)
+    assert run.failures == 0
+
+
+def _assert_same_design(a, b):
+    for name in ("X", "alt_index", "obs_ptr", "row_obs", "chosen",
+                 "chosen_rows", "weights_obs"):
+        assert np.array_equal(getattr(a, name), getattr(b, name)), name
+    assert a.alternatives == b.alternatives
+
+
+@pytest.mark.parametrize("transform", ORACLE_FAMILIES)
+def test_gathered_refits_equal_rebuilt_datasets(transform):
+    """Refits on row gathers of one design equal refits on datasets rebuilt
+    through resample and subset, bit for bit, warm and cold."""
+    d = scobit_dataset(60, seed=1, weights=np.linspace(0.5, 2.0, 60))
+    spec = spec_for(transform)
+    opts = FitOptions(use_weights=True)
+    design = build_design(d, spec)
+    x_hat = fit(design, spec, options=opts, compute_hessian=False).packed
+    uniq = d.unique_obs()
+
+    def same_fit(gathered, rebuilt, init):
+        a = fit(gathered, spec, init=init, options=opts, compute_hessian=False)
+        b = fit(rebuilt, spec, init=init, options=opts, compute_hessian=False)
+        assert np.array_equal(a.packed, b.packed)
+        assert a.ll == b.ll and a.ll_by_alt == b.ll_by_alt
+
+    for b in range(3):
+        ids = _resample_ids(d, np.random.default_rng(b), stratified=True)
+        gathered = design.take(np.searchsorted(uniq, ids))
+        rebuilt = d.resample(ids)
+        _assert_same_design(gathered, build_design(rebuilt, spec))
+        same_fit(gathered, rebuilt, x_hat)
+        same_fit(gathered, rebuilt, None)
+    for i in (0, 17, 59):
+        gathered = design.take(np.delete(np.arange(60), i))
+        rebuilt = d.subset(np.delete(uniq, i))
+        _assert_same_design(gathered, build_design(rebuilt, spec))
+        same_fit(gathered, rebuilt, x_hat)
+
+
+def test_refits_do_not_rebuild_datasets(monkeypatch):
+    def refuse(self, obs):
+        raise AssertionError("refits gather rows of one compiled design")
+
+    monkeypatch.setattr(ChoiceDataset, "subset", refuse)
+    monkeypatch.setattr(ChoiceDataset, "resample", refuse)
+    d = toy_dataset(n_obs=25, seed=14)
+    run = bootstrap(d, mnl_spec(), B=4, seed=1)
+    assert run.jackknife_estimates.shape == (25, 4)
+    assert run.failures == 0
+    rep = cross_validate(d, {"m": mnl_spec()}, k=3)
+    assert rep.failures == {"m": 0}
 
 
 def _run_from(reps, jack):

@@ -4,10 +4,11 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from flexlogit.errors import KTooLarge, SparseStratumWarning
-from flexlogit.estimation import FitOptions
+from flexlogit.estimation import FitOptions, fit
+from flexlogit.likelihood import build_design, ll_with_design
 from flexlogit.validation import cross_validate, make_folds
 
-from conftest import mnl_spec, spec_for, toy_dataset
+from conftest import mnl_spec, scobit_dataset, spec_for, toy_dataset
 
 
 def fold_class_counts(data, plan):
@@ -107,3 +108,24 @@ def test_cross_validate_counts_failed_folds():
     assert rep.ranking() == ["mnl", "exp"]
     bad_rows = [r for r in rep.rows if r["spec"] == "exp"]
     assert all(not r["converged"] and np.isnan(r["test_ll"]) for r in bad_rows)
+
+
+def test_cross_validate_equals_subset_oracle():
+    """Fold fits and scores on row gathers equal those on datasets rebuilt
+    through subset and build_design, bit for bit."""
+    d = scobit_dataset(60, seed=2)
+    specs = {t: spec_for(t)
+             for t in ("mnl", "scobit", "uneven_logit", "asym_logit")}
+    rep = cross_validate(d, specs, k=3, seed=2)
+    uniq = d.unique_obs()
+    for row in rep.rows:
+        spec = specs[row["spec"]]
+        test_ids = rep.plan.fold_obs(row["fold"])
+        res = fit(d.subset(np.setdiff1d(uniq, test_ids)), spec,
+                  compute_hessian=False)
+        test_ll, _ = ll_with_design(
+            build_design(d.subset(test_ids), spec), spec, res.params
+        )
+        assert row == {"spec": row["spec"], "fold": row["fold"],
+                       "converged": res.converged, "train_ll": res.ll,
+                       "test_ll": test_ll}
