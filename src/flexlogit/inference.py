@@ -196,7 +196,9 @@ def bca_interval(
     Degenerate replicate distributions (all values equal) yield the point
     interval for that parameter. The bias-correction proportion is clamped to
     [1/(B+1), B/(B+1)] so the normal quantile stays finite when every
-    replicate falls on one side of the point estimate.
+    replicate falls on one side of the point estimate. Where the
+    acceleration puts a level past the pole of the BCa map (1 - a(z0 + z) <=
+    0), the level is the map's limit: 1 for z0 + z > 0, 0 for z0 + z < 0.
     """
     reps = np.asarray(run.replicate_estimates, dtype=float)
     jack = np.asarray(run.jackknife_estimates, dtype=float)
@@ -228,7 +230,12 @@ def bca_interval(
         a = float(np.sum(d**3) / (6.0 * denom)) if denom > 0 else 0.0
 
         def adj(z):
-            return float(ndtr(z0 + (z0 + z) / (1.0 - a * (z0 + z))))
+            w = z0 + z
+            den = 1.0 - a * w
+            if den <= 0.0:
+                # past the pole of the BCa map: take its limit, the far tail
+                return 1.0 if w > 0 else 0.0
+            return float(ndtr(z0 + w / den))
 
         out[m, 0] = np.quantile(r, adj(z_lo))
         out[m, 1] = np.quantile(r, adj(z_hi))

@@ -197,10 +197,7 @@ def validate_params(spec: ModelSpec, params: NaturalParams, alternatives) -> Non
         g = params.gamma_matrix(alternatives, fam.n_shapes_per_alt)
         if not np.all(np.isfinite(g)):
             raise InvalidParams("gamma contains non-finite entries")
-        if fam.name == "asym_logit":
-            problem = fam.check_shapes(g[:, 0])
-        else:
-            problem = fam.check_shapes(g)
+        problem = fam.check_shapes(g)
         if problem:
             raise InvalidParams(f"{fam.name}: shape constraint violated: {problem}")
 
@@ -225,13 +222,13 @@ class Packing:
             )
         self.free_taus = [a for a in self.alternatives if a != spec.ref_alt]
         ns = self.family.n_shapes_per_alt
-        shape_ref = spec.effective_shape_ref()
-        if shape_ref is not None and shape_ref not in self.alternatives:
+        self.shape_ref = spec.effective_shape_ref()
+        if self.shape_ref is not None and self.shape_ref not in self.alternatives:
             raise SpecDataMismatch(
-                f"shape_ref_alt {shape_ref} is not among alternatives"
+                f"shape_ref_alt {self.shape_ref} is not among alternatives"
             )
         self.shape_alts = (
-            [a for a in self.alternatives if ns and a != shape_ref] if ns else []
+            [a for a in self.alternatives if ns and a != self.shape_ref] if ns else []
         )
         self.n_beta = len(spec.coefficients)
         self.n_tau = len(self.free_taus)
@@ -265,10 +262,7 @@ class Packing:
         return full[rows].ravel()
 
     def natural_shape_matrix(self, shape_block: np.ndarray) -> np.ndarray:
-        full = self._full_unconstrained(shape_block)
-        if self.family.name == "asym_logit":
-            return self.family.to_natural(full[:, 0])[:, None]
-        return self.family.to_natural(full)
+        return self.family.to_natural(self._full_unconstrained(shape_block))
 
     # -- pack / unpack --------------------------------------------------------
 
@@ -303,12 +297,10 @@ class Packing:
                 nat = params.gamma_matrix(
                     self.alternatives, self.family.n_shapes_per_alt
                 )
-                if self.family.name == "asym_logit":
-                    full = self.family.from_natural(nat[:, 0])
-                    ref = self.alternatives.index(self.spec.effective_shape_ref())
-                    full = (full - full[ref])[:, None]
-                else:
-                    full = self.family.from_natural(nat)
+                full = self.family.from_natural(nat)
+                if self.shape_ref is not None:
+                    # fix the gauge: the reference alternative's shape is 0
+                    full = full - full[self.alternatives.index(self.shape_ref)]
                 vec[self.n_beta + self.n_tau :] = self._free_entries(full)
         return vec
 
@@ -317,17 +309,7 @@ class Packing:
 
         ``t_natural`` and ``nat`` are (n_alts, n_shapes).
         """
-        fam = self.family
-        if fam.name == "asym_logit":
-            g = nat[:, 0]
-            t = t_natural[:, 0]
-            full = (g * (t - float(t @ g)))[:, None]
-        elif fam.name == "qgev":
-            full = t_natural * (nat - 1.0)
-        else:
-            # exp-reparameterized families: d gamma / d u = gamma
-            full = t_natural * nat
-        return self._free_entries(full)
+        return self._free_entries(self.family.chain_natural(t_natural, nat))
 
 
 @dataclass
@@ -447,8 +429,10 @@ def build_design(data: ChoiceDataset, spec: ModelSpec) -> Design:
     )
 
 
-def _s_rows(spec: ModelSpec, params: NaturalParams, X, alt_index, alternatives):
-    """Total exponent tau + S per row, plus pieces reused by the gradient."""
+def _s_rows(spec: ModelSpec, params: NaturalParams, X, alt_index, alternatives,
+            grad=False):
+    """Total exponent tau + S per row, then dS/dV and dS/dgamma per row (both
+    ``None`` unless ``grad``) and the natural shape matrix."""
     with np.errstate(over="ignore", invalid="ignore"):  # checked just below
         V = X @ params.beta
     if not np.all(np.isfinite(V)):
@@ -460,9 +444,12 @@ def _s_rows(spec: ModelSpec, params: NaturalParams, X, alt_index, alternatives):
         g_rows = nat[alt_index, 0] if fam.n_shapes_per_alt == 1 else nat[alt_index]
     else:
         nat, g_rows = None, None
-    S = fam.value(V, g_rows, J)
+    if grad:
+        S, dSdV, dSdg = fam.value(V, g_rows, J, grad=True)
+    else:
+        S, dSdV, dSdg = fam.value(V, g_rows, J), None, None
     tau = params.tau_vector(alternatives)
-    return S + tau[alt_index], V, g_rows, nat
+    return S + tau[alt_index], dSdV, dSdg, nat
 
 
 def _softmax_rows(expo: np.ndarray, obs_ptr: np.ndarray, row_obs: np.ndarray):
@@ -487,15 +474,15 @@ def probabilities(data: ChoiceDataset, spec: ModelSpec, params: NaturalParams) -
     return _softmax_rows(expo, d.obs_ptr, d.row_obs)
 
 
-def _chosen_logprobs(design: Design, spec, params):
-    expo, V, g_rows, nat = _s_rows(
-        spec, params, design.X, design.alt_index, design.alternatives
+def _chosen_logprobs(design: Design, spec, params, grad=False):
+    expo, dSdV, dSdg, nat = _s_rows(
+        spec, params, design.X, design.alt_index, design.alternatives, grad
     )
     P = _softmax_rows(expo, design.obs_ptr, design.row_obs)
     pc = P[design.chosen_rows]
     floored = int(np.sum(pc < PROB_FLOOR))
     logp = np.log(np.maximum(pc, PROB_FLOOR))
-    return logp, P, V, g_rows, nat, floored
+    return logp, P, dSdV, dSdg, nat, floored
 
 
 def log_likelihood(
@@ -560,8 +547,7 @@ def gradient(
 
 
 def gradient_with_design(design: Design, spec, params, use_weights=False) -> np.ndarray:
-    _, P, V, g_rows, nat, _ = _chosen_logprobs(design, spec, params)
-    fam = spec.family
+    _, P, dSdV, dSdg, nat, _ = _chosen_logprobs(design, spec, params, grad=True)
     J = len(design.alternatives)
     w_rows = (
         design.weights_obs[design.row_obs] if use_weights else 1.0
@@ -570,7 +556,6 @@ def gradient_with_design(design: Design, spec, params, use_weights=False) -> np.
 
     pk = design.packing
     out = np.empty(pk.dim)
-    dSdV = fam.d_value_dv(V, g_rows, J)
     out[: pk.n_beta] = design.X.T @ (resid * dSdV)
 
     g_tau = np.bincount(design.alt_index, weights=resid, minlength=J)
@@ -578,20 +563,12 @@ def gradient_with_design(design: Design, spec, params, use_weights=False) -> np.
         g_tau[design.alternatives.index(a)] for a in pk.free_taus
     ]
 
-    if fam.n_shapes_per_alt:
-        dSdg = fam.d_value_dshape(V, g_rows, J)
-        if fam.n_shapes_per_alt == 1:
-            t = np.bincount(design.alt_index, weights=resid * dSdg, minlength=J)[
-                :, None
+    if dSdg is not None:
+        t = np.column_stack(
+            [
+                np.bincount(design.alt_index, weights=resid * d, minlength=J)
+                for d in dSdg.reshape(resid.shape[0], -1).T
             ]
-        else:
-            t = np.column_stack(
-                [
-                    np.bincount(
-                        design.alt_index, weights=resid * dSdg[:, s], minlength=J
-                    )
-                    for s in range(fam.n_shapes_per_alt)
-                ]
-            )
+        )
         out[pk.n_beta + pk.n_tau :] = pk.shape_gradient(t, nat)
     return out

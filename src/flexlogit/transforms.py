@@ -16,22 +16,28 @@ Families are registered under short string names (``mnl``, ``cloglog``,
 families ``exponential``, ``rayleigh``, ``weibull``, ``pareto``, ``qgev``,
 ``czado``) and expose:
 
-``value(v, gamma, n_alts)``
-    S itself, evaluated elementwise with overflow-safe branches.
-``d_value_dv(v, gamma, n_alts)``
-    dS/dV, used by the analytic likelihood gradient.
-``d_value_dshape(v, gamma, n_alts)``
-    dS/dgamma per shape parameter (natural scale).
+``value(v, gamma, n_alts, grad=False)``
+    S itself, evaluated elementwise with overflow-safe branches and one
+    domain check. With ``grad=True`` it returns ``(S, dS/dV, dS/dgamma)``
+    from the same intermediates; dS/dgamma is per shape parameter on the
+    natural scale, or ``None`` for families without shapes. The analytic
+    likelihood gradient uses this triple.
 ``domain(v, gamma)``
     ``None`` when every element is admissible, else a description of the
     violated constraint.
+``check_shapes(gamma)``
+    The same for natural shape values.
 ``to_natural(u)`` / ``from_natural(gamma)``
     Map an unconstrained per-alternative shape vector to the family's
     admissible set and back; optimizers work on the unconstrained side.
+``chain_natural(t, gamma)``
+    Chain dLL/dgamma through ``to_natural`` to dLL/du.
 
 Shape conventions: families with ``n_shapes_per_alt == 1`` take one gamma per
 alternative; ``czado`` takes two (one per sign of V). ``asym_logit`` couples
 its per-alternative shapes through a softmax so they sum to one.
+``exponential`` and ``rayleigh`` are ``weibull`` with the shape fixed at 1
+and 2.
 """
 
 from __future__ import annotations
@@ -80,7 +86,12 @@ def _as_float_array(x):
 
 
 class TransformFamily:
-    """Base class; subclasses implement the elementwise math."""
+    """Base class; subclasses implement the elementwise math.
+
+    Shape handling defaults to positive shapes optimized on the log scale
+    (gamma = e^u); families with another admissible set override
+    ``check_shapes``, ``to_natural``, ``from_natural`` and ``chain_natural``.
+    """
 
     name: str = ""
     n_shapes_per_alt: int = 0
@@ -89,14 +100,12 @@ class TransformFamily:
 
     # -- evaluation -------------------------------------------------------
 
-    def value(self, v, gamma=None, n_alts=None):
-        raise NotImplementedError
+    def value(self, v, gamma=None, n_alts=None, grad=False):
+        """S(V, gamma), or ``(S, dS/dV, dS/dgamma)`` when ``grad`` is true.
 
-    def d_value_dv(self, v, gamma=None, n_alts=None):
-        raise NotImplementedError
-
-    def d_value_dshape(self, v, gamma=None, n_alts=None):
-        """dS/dgamma, shaped like gamma. Only for families with shapes."""
+        dS/dgamma is ``None`` for families without shapes and carries a
+        trailing axis of length two for two-shape families.
+        """
         raise NotImplementedError
 
     # -- domains ----------------------------------------------------------
@@ -108,16 +117,26 @@ class TransformFamily:
     def check_shapes(self, gamma):
         """Return None if the natural shape values are admissible, else a
         description of the violated constraint."""
+        if np.any(_as_float_array(gamma) <= 0):
+            return "gamma > 0"
         return None
 
     # -- reparameterization -------------------------------------------------
 
     def to_natural(self, u):
         """Map unconstrained per-alternative values into the admissible set."""
-        return _as_float_array(u).copy()
+        return np.exp(_as_float_array(u))
 
     def from_natural(self, gamma):
-        return _as_float_array(gamma).copy()
+        return np.log(_as_float_array(gamma))
+
+    def chain_natural(self, t, gamma):
+        """dLL/du from dLL/dgamma ``t`` at ``gamma = to_natural(u)``.
+
+        Both arguments are (n_alts, n_shapes) matrices; here d gamma/d u =
+        gamma.
+        """
+        return t * gamma
 
     def _check_domain(self, v, ok_mask, constraint):
         if not np.all(ok_mask):
@@ -131,11 +150,11 @@ class MNL(TransformFamily):
     name = "mnl"
     n_shapes_per_alt = 0
 
-    def value(self, v, gamma=None, n_alts=None):
-        return _as_float_array(v).copy()
-
-    def d_value_dv(self, v, gamma=None, n_alts=None):
-        return np.ones_like(_as_float_array(v))
+    def value(self, v, gamma=None, n_alts=None, grad=False):
+        v = _as_float_array(v)
+        if not grad:
+            return v.copy()
+        return v.copy(), np.ones_like(v), None
 
 
 class CLogLog(TransformFamily):
@@ -149,32 +168,22 @@ class CLogLog(TransformFamily):
     name = "cloglog"
     n_shapes_per_alt = 0
 
-    def value(self, v, gamma=None, n_alts=None):
-        v = _as_float_array(v)
-        self.domain(v, raise_=True)
-        out = np.empty_like(v)
-        lo = v < -_ASYMPTOTE
-        out[lo] = v[lo]
-        mid = ~lo
-        y = np.exp(v[mid])
-        hi = y > _ASYMPTOTE
-        vals = np.empty_like(y)
-        vals[hi] = y[hi]
-        vals[~hi] = np.log(np.expm1(y[~hi]))
-        out[mid] = vals
-        return out
-
-    def d_value_dv(self, v, gamma=None, n_alts=None):
+    def value(self, v, gamma=None, n_alts=None, grad=False):
         v = _as_float_array(v)
         self.domain(v, raise_=True)
         y = np.exp(v)
-        out = np.empty_like(v)
+        out = v.copy()
+        hi = y > _ASYMPTOTE
+        mid = ~hi & (v >= -_ASYMPTOTE)
+        out[hi] = y[hi]
+        out[mid] = np.log(np.expm1(y[mid]))
+        if not grad:
+            return out
         # dS/dV = y / (1 - e^-y); underflowed y means the limit slope 1.
-        zero = y == 0.0
-        out[zero] = 1.0
-        yz = y[~zero]
-        out[~zero] = yz / (-np.expm1(-yz))
-        return out
+        dv = np.ones_like(v)
+        live = y != 0.0
+        dv[live] = y[live] / (-np.expm1(-y[live]))
+        return out, dv, None
 
     def domain(self, v, gamma=None, raise_=False):
         v = _as_float_array(v)
@@ -197,75 +206,54 @@ class Scobit(TransformFamily):
     name = "scobit"
     n_shapes_per_alt = 1
 
-    def value(self, v, gamma, n_alts=None):
+    def value(self, v, gamma, n_alts=None, grad=False):
         v = _as_float_array(v)
-        g = _as_float_array(gamma)
+        g = np.broadcast_to(_as_float_array(gamma), v.shape)
         u = softplus(-v)
         a = g * u
         out = np.empty_like(v)
         tiny = a == 0.0
+        rest = ~tiny
+        # log(e^a - 1) on the rest, as in log_expm1, keeping log1p(-e^-a) of
+        # the upper tail for the slope
+        ur, ar = u[rest], a[rest]
+        big = ar > _ASYMPTOTE
+        tail_fix = np.log1p(-np.exp(-ar[big]))
+        lem = np.empty_like(ar)
+        lem[big] = ar[big] + tail_fix
+        lem[~big] = np.log(np.expm1(ar[~big]))
+        out[rest] = -lem
         # a underflows when V is huge or gamma is tiny; there S -> -log(g*u),
         # and if u itself underflowed, u ~ e^-V so -log(u) = V.
         if np.any(tiny):
-            gt = np.broadcast_to(g, v.shape)[tiny]
             ut = u[tiny]
-            vt = v[tiny]
             with np.errstate(divide="ignore"):
-                lu = np.where(ut > 0, np.log(np.where(ut > 0, ut, 1.0)), -vt)
-            out[tiny] = -np.log(gt) - lu
-        rest = ~tiny
-        out[rest] = -log_expm1(a[rest])
-        return out
+                lu = np.where(ut > 0, np.log(np.where(ut > 0, ut, 1.0)), -v[tiny])
+            out[tiny] = -np.log(g[tiny]) - lu
+        if not grad:
+            return out
 
-    def d_value_dv(self, v, gamma, n_alts=None):
-        v = _as_float_array(v)
-        g = np.broadcast_to(_as_float_array(gamma), v.shape)
-        u = softplus(-v)
-        a = g * u
-        out = np.empty_like(v)
-        tiny = a == 0.0
+        dv = np.empty_like(v)
         if np.any(tiny):
             # limit slope sigma(-V)/u, and 1 where u underflowed too
-            ut = u[tiny]
             sig = expit(-v[tiny])
-            out[tiny] = np.where(ut > 0, sig / np.where(ut > 0, ut, 1.0), 1.0)
-        rest = ~tiny
-        if np.any(rest):
-            gr, ur, ar = g[rest], u[rest], a[rest]
-            # log dS/dV = log g + log(e^u - 1) + (g-1) u - log(e^(gu) - 1);
-            # for large gu, fold (g-1)u - gu = -u analytically to avoid
-            # catastrophic cancellation between huge terms.
-            log_num = np.log(gr) + log_expm1(ur)
-            big = ar > _ASYMPTOTE
-            tail = np.empty_like(ar)
-            tail[big] = -ur[big] - np.log1p(-np.exp(-ar[big]))
-            tail[~big] = (gr[~big] - 1.0) * ur[~big] - log_expm1(ar[~big])
-            out[rest] = np.exp(log_num + tail)
-        return out
+            dv[tiny] = np.where(ut > 0, sig / np.where(ut > 0, ut, 1.0), 1.0)
+        # log dS/dV = log g + log(e^u - 1) + (g-1) u - log(e^(gu) - 1);
+        # for large gu, fold (g-1)u - gu = -u analytically to avoid
+        # catastrophic cancellation between huge terms.
+        gr = g[rest]
+        log_num = np.log(gr) + log_expm1(ur)
+        tail = np.empty_like(ar)
+        tail[big] = -ur[big] - tail_fix
+        tail[~big] = (gr[~big] - 1.0) * ur[~big] - lem[~big]
+        dv[rest] = np.exp(log_num + tail)
 
-    def d_value_dshape(self, v, gamma, n_alts=None):
-        v = _as_float_array(v)
-        g = np.broadcast_to(_as_float_array(gamma), v.shape)
-        u = softplus(-v)
-        a = g * u
-        out = np.empty_like(v)
-        tiny = a < 1e-280
-        out[tiny] = -1.0 / g[tiny]
-        rest = ~tiny
-        # dS/dgamma = -u / (1 - e^(-gu))
-        out[rest] = -u[rest] / (-np.expm1(-a[rest]))
-        return out
-
-    def check_shapes(self, gamma):
-        if np.any(_as_float_array(gamma) <= 0):
-            return "gamma > 0"
-        return None
-
-    def to_natural(self, u):
-        return np.exp(_as_float_array(u))
-
-    def from_natural(self, gamma):
-        return np.log(_as_float_array(gamma))
+        # dS/dgamma = -u / (1 - e^(-gu)), with limit -1/g as gu -> 0
+        dg = np.empty_like(v)
+        small = a < 1e-280
+        dg[small] = -1.0 / g[small]
+        dg[~small] = -u[~small] / (-np.expm1(-a[~small]))
+        return out, dv, dg
 
 
 class UnevenLogit(TransformFamily):
@@ -278,31 +266,15 @@ class UnevenLogit(TransformFamily):
     name = "uneven_logit"
     n_shapes_per_alt = 1
 
-    def value(self, v, gamma, n_alts=None):
+    def value(self, v, gamma, n_alts=None, grad=False):
         v = _as_float_array(v)
         g = _as_float_array(gamma)
-        return softplus(v) - softplus(-g * v)
-
-    def d_value_dv(self, v, gamma, n_alts=None):
-        v = _as_float_array(v)
-        g = _as_float_array(gamma)
-        return expit(v) + g * expit(-g * v)
-
-    def d_value_dshape(self, v, gamma, n_alts=None):
-        v = _as_float_array(v)
-        g = _as_float_array(gamma)
-        return v * expit(-g * v)
-
-    def check_shapes(self, gamma):
-        if np.any(_as_float_array(gamma) <= 0):
-            return "gamma > 0"
-        return None
-
-    def to_natural(self, u):
-        return np.exp(_as_float_array(u))
-
-    def from_natural(self, gamma):
-        return np.log(_as_float_array(gamma))
+        mgv = -g * v
+        out = softplus(v) - softplus(mgv)
+        if not grad:
+            return out
+        e = expit(mgv)
+        return out, expit(v) + g * e, v * e
 
 
 class AsymLogit(TransformFamily):
@@ -317,12 +289,15 @@ class AsymLogit(TransformFamily):
     At the shared anchor gamma_j = 1/n_alts both slopes equal log(n_alts) and
     the model is a rescaled multinomial logit. Derivatives at V = 0 use the
     V >= 0 branch (a valid subgradient at the kink).
+
+    The shape methods take one gamma per alternative, as a vector or as an
+    (n_alts, 1) matrix.
     """
 
     name = "asym_logit"
     n_shapes_per_alt = 1
 
-    def value(self, v, gamma, n_alts=None):
+    def value(self, v, gamma, n_alts=None, grad=False):
         v = _as_float_array(v)
         g = _as_float_array(gamma)
         # a reparameterized gamma can round to exactly 1; log1p then yields
@@ -330,19 +305,12 @@ class AsymLogit(TransformFamily):
         with np.errstate(divide="ignore"):
             lg = np.log(g)
             lneg = np.log1p(-g) - np.log(n_alts - 1)
-        return lg - v * np.where(v >= 0, lg, lneg)
-
-    def d_value_dv(self, v, gamma, n_alts=None):
-        v = _as_float_array(v)
-        g = np.broadcast_to(_as_float_array(gamma), v.shape)
-        lg = np.log(g)
-        lneg = np.log1p(-g) - np.log(n_alts - 1)
-        return -np.where(v >= 0, lg, lneg)
-
-    def d_value_dshape(self, v, gamma, n_alts=None):
-        v = _as_float_array(v)
-        g = np.broadcast_to(_as_float_array(gamma), v.shape)
-        return np.where(v >= 0, (1.0 - v) / g, 1.0 / g + v / (1.0 - g))
+        pos = v >= 0
+        slope = np.where(pos, lg, lneg)
+        out = lg - v * slope
+        if not grad:
+            return out
+        return out, -slope, np.where(pos, (1.0 - v) / g, 1.0 / g + v / (1.0 - g))
 
     def check_shapes(self, gamma):
         g = _as_float_array(gamma)
@@ -362,90 +330,57 @@ class AsymLogit(TransformFamily):
         # gauge-free inverse; packing subtracts the reference entry
         return np.log(_as_float_array(gamma))
 
-
-class Exponential(TransformFamily):
-    """S(V) = -log V on V > 0; V acts as a cost, so S decreases in V."""
-
-    name = "exponential"
-    n_shapes_per_alt = 0
-    monotone_sign = -1
-
-    def value(self, v, gamma=None, n_alts=None):
-        v = _as_float_array(v)
-        self._check_domain(v, v > 0, "V > 0")
-        return -np.log(v)
-
-    def d_value_dv(self, v, gamma=None, n_alts=None):
-        v = _as_float_array(v)
-        self._check_domain(v, v > 0, "V > 0")
-        return -1.0 / v
-
-    def domain(self, v, gamma=None):
-        if np.any(_as_float_array(v) <= 0):
-            return "V > 0"
-        return None
-
-
-class Rayleigh(TransformFamily):
-    """S(V) = -2 log V on V > 0."""
-
-    name = "rayleigh"
-    n_shapes_per_alt = 0
-    monotone_sign = -1
-
-    def value(self, v, gamma=None, n_alts=None):
-        v = _as_float_array(v)
-        self._check_domain(v, v > 0, "V > 0")
-        return -2.0 * np.log(v)
-
-    def d_value_dv(self, v, gamma=None, n_alts=None):
-        v = _as_float_array(v)
-        self._check_domain(v, v > 0, "V > 0")
-        return -2.0 / v
-
-    def domain(self, v, gamma=None):
-        if np.any(_as_float_array(v) <= 0):
-            return "V > 0"
-        return None
+    def chain_natural(self, t, gamma):
+        # softmax Jacobian: d gamma_j / d u_k = gamma_j (delta_jk - gamma_k)
+        g = gamma[:, 0]
+        t = t[:, 0]
+        return (g * (t - float(t @ g)))[:, None]
 
 
 class Weibull(TransformFamily):
-    """S(V, gamma) = -gamma log V on V > 0 with gamma > 0."""
+    """S(V, gamma) = -gamma log V on V > 0 with gamma > 0.
+
+    Subclasses fix the shape (``fixed_shape``) and take no shape parameter.
+    """
 
     name = "weibull"
     n_shapes_per_alt = 1
     monotone_sign = -1
+    fixed_shape: float | None = None
 
-    def value(self, v, gamma, n_alts=None):
+    def value(self, v, gamma=None, n_alts=None, grad=False):
         v = _as_float_array(v)
+        if self.fixed_shape is not None:
+            gamma = self.fixed_shape
+        g = _as_float_array(gamma)
         self._check_domain(v, v > 0, "V > 0")
-        return -_as_float_array(gamma) * np.log(v)
-
-    def d_value_dv(self, v, gamma, n_alts=None):
-        v = _as_float_array(v)
-        self._check_domain(v, v > 0, "V > 0")
-        return -_as_float_array(gamma) / v
-
-    def d_value_dshape(self, v, gamma, n_alts=None):
-        v, _ = np.broadcast_arrays(_as_float_array(v), _as_float_array(gamma))
-        self._check_domain(v, v > 0, "V > 0")
-        return -np.log(v)
+        lv = np.log(v)
+        out = -g * lv
+        if not grad:
+            return out
+        dg = None if self.fixed_shape is not None else -np.broadcast_to(lv, out.shape)
+        return out, -g / v, dg
 
     def domain(self, v, gamma=None):
         if np.any(_as_float_array(v) <= 0):
             return "V > 0"
         return None
 
-    def check_shapes(self, gamma):
-        if np.any(_as_float_array(gamma) <= 0):
-            return "gamma > 0"
-        return None
 
-    def to_natural(self, u):
-        return np.exp(_as_float_array(u))
+class Exponential(Weibull):
+    """S(V) = -log V on V > 0; V acts as a cost, so S decreases in V."""
 
-    def from_natural(self, gamma):
-        return np.log(_as_float_array(gamma))
+    name = "exponential"
+    n_shapes_per_alt = 0
+    fixed_shape = 1.0
+
+
+class Rayleigh(Weibull):
+    """S(V) = -2 log V on V > 0."""
+
+    name = "rayleigh"
+    n_shapes_per_alt = 0
+    fixed_shape = 2.0
 
 
 class Pareto(TransformFamily):
@@ -455,15 +390,14 @@ class Pareto(TransformFamily):
     n_shapes_per_alt = 0
     monotone_sign = -1
 
-    def value(self, v, gamma=None, n_alts=None):
+    def value(self, v, gamma=None, n_alts=None, grad=False):
         v = _as_float_array(v)
         self._check_domain(v, v > 1, "V > 1")
-        return np.log(v) - np.log(v - 1.0)
-
-    def d_value_dv(self, v, gamma=None, n_alts=None):
-        v = _as_float_array(v)
-        self._check_domain(v, v > 1, "V > 1")
-        return 1.0 / v - 1.0 / (v - 1.0)
+        vm1 = v - 1.0
+        out = np.log(v) - np.log(vm1)
+        if not grad:
+            return out
+        return out, 1.0 / v - 1.0 / vm1, None
 
     def domain(self, v, gamma=None):
         if np.any(_as_float_array(v) <= 1):
@@ -483,27 +417,18 @@ class QGEV(TransformFamily):
     n_shapes_per_alt = 1
     monotone_sign = -1
 
-    def value(self, v, gamma, n_alts=None):
+    def value(self, v, gamma, n_alts=None, grad=False):
         v = _as_float_array(v)
         g = _as_float_array(gamma)
         arg = (g - 1.0) * v
         self._check_domain(v, arg > -1.0, "1 + (gamma - 1) V > 0")
-        return np.log1p(arg) / (1.0 - g)
-
-    def d_value_dv(self, v, gamma, n_alts=None):
-        v = _as_float_array(v)
-        g = _as_float_array(gamma)
-        arg = (g - 1.0) * v
-        self._check_domain(v, arg > -1.0, "1 + (gamma - 1) V > 0")
-        return -1.0 / (1.0 + arg)
-
-    def d_value_dshape(self, v, gamma, n_alts=None):
-        v = _as_float_array(v)
-        g = _as_float_array(gamma)
-        arg = (g - 1.0) * v
-        self._check_domain(v, arg > -1.0, "1 + (gamma - 1) V > 0")
+        log_arg = np.log1p(arg)
         one_m = 1.0 - g
-        return np.log1p(arg) / one_m**2 + v / (one_m * (1.0 + arg))
+        out = log_arg / one_m
+        if not grad:
+            return out
+        opa = 1.0 + arg
+        return out, -1.0 / opa, log_arg / one_m**2 + v / (one_m * opa)
 
     def domain(self, v, gamma=None):
         arg = (_as_float_array(gamma) - 1.0) * _as_float_array(v)
@@ -522,6 +447,9 @@ class QGEV(TransformFamily):
     def from_natural(self, gamma):
         return np.log(_as_float_array(gamma) - 1.0)
 
+    def chain_natural(self, t, gamma):
+        return t * (gamma - 1.0)
+
 
 class Czado(TransformFamily):
     """Two-sided power transform with separate exponents per sign of V.
@@ -536,54 +464,29 @@ class Czado(TransformFamily):
     name = "czado"
     n_shapes_per_alt = 2
 
-    def value(self, v, gamma, n_alts=None):
+    def value(self, v, gamma, n_alts=None, grad=False):
         v = _as_float_array(v)
-        g1, g2 = self._split(v, gamma)
-        pos = v >= 0
-        out = np.empty_like(v)
-        out[pos] = np.expm1(g1[pos] * np.log1p(v[pos])) / g1[pos]
-        out[~pos] = -np.expm1(g2[~pos] * np.log1p(-v[~pos])) / g2[~pos]
-        return out
-
-    def d_value_dv(self, v, gamma, n_alts=None):
-        v = _as_float_array(v)
-        g1, g2 = self._split(v, gamma)
-        pos = v >= 0
-        out = np.empty_like(v)
-        out[pos] = np.exp((g1[pos] - 1.0) * np.log1p(v[pos]))
-        out[~pos] = np.exp((g2[~pos] - 1.0) * np.log1p(-v[~pos]))
-        return out
-
-    def d_value_dshape(self, v, gamma, n_alts=None):
-        v = _as_float_array(v)
-        g1, g2 = self._split(v, gamma)
-        pos = v >= 0
-        out = np.zeros(v.shape + (2,))
-        w1 = np.log1p(v[pos])
-        e1 = np.exp(g1[pos] * w1)
-        out[pos, 0] = (w1 * e1 * g1[pos] - (e1 - 1.0)) / g1[pos] ** 2
-        w2 = np.log1p(-v[~pos])
-        e2 = np.exp(g2[~pos] * w2)
-        out[~pos, 1] = -(w2 * e2 * g2[~pos] - (e2 - 1.0)) / g2[~pos] ** 2
-        return out
-
-    @staticmethod
-    def _split(v, gamma):
         g = _as_float_array(gamma)
         if g.ndim == 1 and g.shape == (2,):
             g = np.broadcast_to(g, v.shape + (2,))
-        return g[..., 0], g[..., 1]
-
-    def check_shapes(self, gamma):
-        if np.any(_as_float_array(gamma) <= 0):
-            return "gamma > 0"
-        return None
-
-    def to_natural(self, u):
-        return np.exp(_as_float_array(u))
-
-    def from_natural(self, gamma):
-        return np.log(_as_float_array(gamma))
+        pos = v >= 0
+        neg = ~pos
+        g1, g2 = g[..., 0][pos], g[..., 1][neg]
+        w1, w2 = np.log1p(v[pos]), np.log1p(-v[neg])
+        out = np.empty_like(v)
+        out[pos] = np.expm1(g1 * w1) / g1
+        out[neg] = -np.expm1(g2 * w2) / g2
+        if not grad:
+            return out
+        dv = np.empty_like(v)
+        dv[pos] = np.exp((g1 - 1.0) * w1)
+        dv[neg] = np.exp((g2 - 1.0) * w2)
+        # the inactive branch's exponent never contributes
+        dg = np.zeros(v.shape + (2,))
+        e1, e2 = np.exp(g1 * w1), np.exp(g2 * w2)
+        dg[pos, 0] = (w1 * e1 * g1 - (e1 - 1.0)) / g1**2
+        dg[neg, 1] = -(w2 * e2 * g2 - (e2 - 1.0)) / g2**2
+        return out, dv, dg
 
 
 CORE_FAMILY_NAMES = ("mnl", "cloglog", "scobit", "uneven_logit", "asym_logit")

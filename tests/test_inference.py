@@ -229,6 +229,20 @@ def test_bca_shifts_with_bias():
     assert bca[0, 1] <= perc[0, 1]
 
 
+def test_bca_large_acceleration_keeps_endpoints_ordered():
+    """Every replicate below the point (z0 > 0) and a strongly skewed
+    jackknife (a ~ 0.16) put the 99.9% upper level past the pole of the BCa
+    map, where 1 - a(z0 + z) <= 0; the level is then the limit 1, not the
+    far end of the wrong tail."""
+    reps = np.random.default_rng(0).normal(0.0, 1.0, 2000) - 10.0
+    jack = np.zeros(50)
+    jack[0] = -50.0
+    run = _run_from(reps, jack)
+    ci = bca_interval(run, np.array([0.0]), level=0.999)
+    assert ci[0, 0] <= ci[0, 1]
+    assert ci[0, 1] == np.max(reps)
+
+
 def test_bootstrap_bca_end_to_end():
     d = toy_dataset(n_obs=30, seed=31)
     spec = mnl_spec()

@@ -12,6 +12,7 @@ from flexlogit.transforms import (
     log_expm1,
     softplus,
 )
+from transform_oracle import ORACLES
 
 LN2 = 0.6931471805599453
 LN3 = 1.0986122886681098
@@ -19,6 +20,14 @@ LN3 = 1.0986122886681098
 
 def arr(*xs):
     return np.asarray(xs, dtype=float)
+
+
+def dv_of(fam, v, g=None, J=None):
+    return fam.value(v, g, J, grad=True)[1]
+
+
+def dshape_of(fam, v, g=None, J=None):
+    return fam.value(v, g, J, grad=True)[2]
 
 
 # ---------------------------------------------------------------------------
@@ -43,7 +52,10 @@ def test_mnl_is_identity():
     v = np.linspace(-40, 40, 17)
     fam = get_family("mnl")
     assert np.array_equal(fam.value(v), v)
-    assert np.array_equal(fam.d_value_dv(v), np.ones_like(v))
+    s, dv, dg = fam.value(v, grad=True)
+    assert np.array_equal(s, v)
+    assert np.array_equal(dv, np.ones_like(v))
+    assert dg is None
 
 
 def test_cloglog_values():
@@ -107,7 +119,7 @@ def test_czado_smooth_at_zero():
     cz = get_family("czado")
     g = np.array([[3.0, 0.5]])
     # slope 1 from both sides regardless of the exponents
-    assert cz.d_value_dv(arr(0.0), g)[0] == 1.0
+    assert dv_of(cz, arr(0.0), g)[0] == 1.0
     h = 1e-7
     fd = (cz.value(arr(h), g)[0] - cz.value(arr(-h), g)[0]) / (2 * h)
     assert fd == pytest.approx(1.0, abs=1e-6)
@@ -180,7 +192,7 @@ def _fd_dv(fam, v, g, J):
 
 
 def _check_dv(fam, v, g, J=4):
-    got = fam.d_value_dv(v, g, J)[0]
+    got = dv_of(fam, v, g, J)[0]
     want = _fd_dv(fam, v, g, J)
     assert abs(got - want) <= 1e-5 * max(1.0, abs(want))
     assert np.sign(got) == fam.monotone_sign
@@ -227,7 +239,7 @@ def test_scobit_dshape_matches_fd(v, g):
     want = (fam.value(arr(v), arr(g + h))[0] - fam.value(arr(v), arr(g - h))[0]) / (
         2 * h
     )
-    got = fam.d_value_dshape(arr(v), arr(g))[0]
+    got = dshape_of(fam, arr(v), arr(g))[0]
     assert abs(got - want) <= 1e-5 * max(1.0, abs(want))
 
 
@@ -238,7 +250,7 @@ def test_uneven_dshape_matches_fd(v, g):
     want = (fam.value(arr(v), arr(g + h))[0] - fam.value(arr(v), arr(g - h))[0]) / (
         2 * h
     )
-    got = fam.d_value_dshape(arr(v), arr(g))[0]
+    got = dshape_of(fam, arr(v), arr(g))[0]
     assert abs(got - want) <= 1e-5 * max(1.0, abs(want))
 
 
@@ -250,7 +262,7 @@ def test_asym_dshape_matches_fd(v, g):
     want = (
         fam.value(arr(v), arr(g + h), 4)[0] - fam.value(arr(v), arr(g - h), 4)[0]
     ) / (2 * h)
-    got = fam.d_value_dshape(arr(v), arr(g), 4)[0]
+    got = dshape_of(fam, arr(v), arr(g), 4)[0]
     assert abs(got - want) <= 1e-4 * max(1.0, abs(want))
 
 
@@ -261,7 +273,7 @@ def test_weibull_dshape_matches_fd(v, g):
     want = (fam.value(arr(v), arr(g + h))[0] - fam.value(arr(v), arr(g - h))[0]) / (
         2 * h
     )
-    got = fam.d_value_dshape(arr(v), arr(g))[0]
+    got = dshape_of(fam, arr(v), arr(g))[0]
     assert abs(got - want) <= 1e-5 * max(1.0, abs(want))
 
 
@@ -273,14 +285,14 @@ def test_qgev_dshape_matches_fd(v, lg):
     want = (fam.value(arr(v), arr(g + h))[0] - fam.value(arr(v), arr(g - h))[0]) / (
         2 * h
     )
-    got = fam.d_value_dshape(arr(v), arr(g))[0]
+    got = dshape_of(fam, arr(v), arr(g))[0]
     assert abs(got - want) <= 1e-5 * max(1.0, abs(want))
 
 
 @given(v=st.floats(-8, 8), g1=st.floats(0.15, 6), g2=st.floats(0.15, 6))
 def test_czado_dshape_matches_fd(v, g1, g2):
     fam = get_family("czado")
-    got = fam.d_value_dshape(arr(v), np.array([[g1, g2]]))[0]
+    got = dshape_of(fam, arr(v), np.array([[g1, g2]]))[0]
     for k, gk in enumerate((g1, g2)):
         h = 1e-6 * max(1.0, gk)
         up = [g1, g2]
@@ -415,7 +427,7 @@ def test_cloglog_stable_over_full_float_range():
     s = fam.value(v)
     assert np.all(np.isfinite(s))
     assert np.all(np.diff(s) > 0)
-    d = fam.d_value_dv(np.linspace(-700, 700, 2001))
+    d = dv_of(fam, np.linspace(-700, 700, 2001))
     assert np.all(np.isfinite(d))
     assert np.all(d >= 1.0)
 
@@ -426,8 +438,8 @@ def test_scobit_stable_at_extreme_shapes():
     for g in (np.exp(-50.0), 1e-3, 1.0, 1e3, np.exp(50.0)):
         gg = np.full_like(v, g)
         assert np.all(np.isfinite(fam.value(v, gg)))
-        assert np.all(np.isfinite(fam.d_value_dv(v, gg)))
-        assert np.all(np.isfinite(fam.d_value_dshape(v, gg)))
+        for out in fam.value(v, gg, grad=True):
+            assert np.all(np.isfinite(out))
 
 
 def test_uneven_stable_at_extreme_shapes():
@@ -435,5 +447,109 @@ def test_uneven_stable_at_extreme_shapes():
     v = np.array([-500.0, -1.0, 0.0, 1.0, 500.0])
     for g in (1e-8, 1.0, 1e8):
         gg = np.full_like(v, g)
-        for out in (fam.value(v, gg), fam.d_value_dv(v, gg), fam.d_value_dshape(v, gg)):
+        for out in (fam.value(v, gg), *fam.value(v, gg, grad=True)):
             assert np.all(np.isfinite(out))
+
+
+# ---------------------------------------------------------------------------
+# fused kernels against the three-method oracle, bit for bit
+# ---------------------------------------------------------------------------
+
+_V_WIDE = np.concatenate([
+    np.linspace(-800.0, 800.0, 1601),
+    [-746.0, -745.2, -709.0, -34.0, -1e-300, 0.0, 1e-300, 34.0, 708.9, 709.0],
+])
+_V_POS = np.concatenate([
+    np.geomspace(1e-300, 800.0, 1201), [5e-324, 1e-12, 1.0, 34.0, 709.0, 800.0],
+])
+_V_PARETO = np.concatenate([1.0 + np.geomspace(2.3e-16, 799.0, 1201), [1.5, 2.0]])
+
+
+def _kernel_cases():
+    """(family name, v, gamma, n_alts) grids covering every branch, with the
+    stability tests' extremes: V to +-800, scobit gamma e^+-50, uneven_logit
+    gamma 1e+-8, and per-row as well as broadcast shapes."""
+    def col(x):
+        return np.full_like(_V_WIDE, x)
+
+    yield "mnl", _V_WIDE, None, None
+    yield "cloglog", _V_WIDE[_V_WIDE <= 709.0], None, None
+    for g in (np.exp(-50.0), 1e-3, 0.5, 1.0, 2.0, 1e3, np.exp(50.0)):
+        yield "scobit", _V_WIDE, col(g), None
+        yield "scobit", _V_WIDE, np.float64(g), None
+    for g in (1e-8, 1e-3, 0.5, 1.0, 3.0, 1e3, 1e8):
+        yield "uneven_logit", _V_WIDE, col(g), None
+        yield "uneven_logit", _V_WIDE, np.float64(g), None
+    for J in (2, 3, 4):
+        for g in (1e-6, 0.05, 1.0 / J, 0.6, 0.999999, 1.0):
+            yield "asym_logit", _V_WIDE, col(g), J
+    yield "exponential", _V_POS, None, None
+    yield "rayleigh", _V_POS, None, None
+    for g in (1e-3, 0.5, 1.0, 2.0, 8.0):
+        yield "weibull", _V_POS, np.full_like(_V_POS, g), None
+        yield "weibull", _V_POS, np.float64(g), None
+    yield "pareto", _V_PARETO, None, None
+    for g in (1.0 + 1e-9, 1.5, 3.0, 50.0):
+        v = _V_POS[(g - 1.0) * _V_POS > -1.0]
+        yield "qgev", np.concatenate([v, -0.999 / (g - 1.0) * np.linspace(0, 1, 50)]), \
+            np.float64(g), None
+    for g in (0.2, 0.5, 0.9, 1.0 - 1e-9):
+        v = np.linspace(-800.0, 0.999 / (1.0 - g), 1001)
+        yield "qgev", v, np.full_like(v, g), None
+    rng = np.random.default_rng(13)
+    v = np.linspace(-800.0, 800.0, 1601)
+    yield "czado", v, rng.uniform(0.15, 6.0, (v.shape[0], 2)), None
+    yield "czado", v, np.array([2.0, 0.5]), None
+    yield "czado", v, np.array([[1.0, 1.0]]).repeat(v.shape[0], axis=0), None
+
+
+@pytest.mark.parametrize("name", sorted(FAMILIES))
+def test_fused_kernel_equals_oracle(name):
+    oracle = ORACLES[name]
+    fam = get_family(name)
+    n = 0
+    for case, v, g, J in _kernel_cases():
+        if case != name:
+            continue
+        n += 1
+        with np.errstate(all="ignore"):
+            s, dv, dg = fam.value(v, g, J, grad=True)
+            want_s = oracle.value(v, g, J)
+            want_dv = oracle.d_value_dv(v, g, J)
+            want_dg = oracle.d_value_dshape(v, g, J) if fam.n_shapes_per_alt else None
+            plain = fam.value(v, g, J)
+        assert np.array_equal(plain, want_s, equal_nan=True)
+        assert np.array_equal(s, want_s, equal_nan=True)
+        assert np.array_equal(dv, want_dv, equal_nan=True)
+        if want_dg is None:
+            assert dg is None
+        else:
+            assert np.array_equal(dg, want_dg, equal_nan=True)
+    assert n > 0
+
+
+@pytest.mark.parametrize(
+    "name,v,g",
+    [
+        ("cloglog", arr(3.0, 710.0, 800.0), None),
+        ("exponential", arr(2.0, 0.0, -1.0), None),
+        ("rayleigh", arr(2.0, -0.5), None),
+        ("weibull", arr(1.0, 0.0), arr(2.0, 2.0)),
+        ("pareto", arr(2.0, 1.0, 0.5), None),
+        ("qgev", arr(2.0, -1.0), arr(3.0, 3.0)),
+        ("qgev", arr(0.5, 2.5), arr(0.5, 0.5)),
+    ],
+)
+def test_fused_kernel_domain_errors_equal_oracle(name, v, g):
+    oracle = ORACLES[name]
+    fam = get_family(name)
+    methods = [oracle.value, oracle.d_value_dv]
+    if fam.n_shapes_per_alt:
+        methods.append(oracle.d_value_dshape)
+    for grad in (False, True):
+        with pytest.raises(DomainViolation) as got:
+            fam.value(v, g, grad=grad)
+        for meth in methods:
+            with pytest.raises(DomainViolation) as want:
+                meth(v, g)
+            assert str(got.value) == str(want.value)
