@@ -142,14 +142,10 @@ def _objective(design: Design, spec, opts):
     def f(x):
         with np.errstate(all="ignore"):
             try:
-                ll, floored = ll_with_design(
-                    design, spec, pk.unpack(x), opts.use_weights
-                )
+                ll, _ = ll_with_design(design, spec, pk.unpack(x), opts.use_weights)
             except (DomainViolation, NonFiniteIndex):
-                return np.inf, 0
-        if not np.isfinite(ll):
-            return np.inf, 0
-        return -ll, floored
+                return np.inf
+        return -ll if np.isfinite(ll) else np.inf
 
     def g(x):
         with np.errstate(all="ignore"):
@@ -166,14 +162,14 @@ def _backtrack(f, x, fx, gx, d):
     alpha = 1.0
     for _ in range(MAX_HALVINGS + 1):
         x_new = x + alpha * d
-        f_new, _ = f(x_new)
+        f_new = f(x_new)
         if np.isfinite(f_new) and f_new <= fx + ARMIJO_C1 * alpha * slope:
             return x_new, f_new, alpha
         alpha *= BACKTRACK_SHRINK
     return None
 
 
-def _stage_loop(name, direction_fn, f, g, x, fx, gx, opts):
+def _stage_loop(direction_fn, update, f, g, x, fx, gx, opts):
     """Shared iteration scaffold; returns (x, fx, gx, iters, status, path)."""
     path = []
     stalls = 0
@@ -183,7 +179,7 @@ def _stage_loop(name, direction_fn, f, g, x, fx, gx, opts):
             return x, fx, gx, it, "converged", path
         d = direction_fn(x, gx, state)
         step = _backtrack(f, x, fx, gx, d)
-        if step is None and name == "bfgs" and state.get("H") is not None:
+        if step is None and update is not None:
             # curvature memory can go bad; retry once from steepest descent
             state["H"] = np.eye(x.shape[0])
             step = _backtrack(f, x, fx, gx, -gx)
@@ -191,8 +187,8 @@ def _stage_loop(name, direction_fn, f, g, x, fx, gx, opts):
             return x, fx, gx, it, "line_search_failed", path
         x_new, f_new, _ = step
         g_new = g(x_new)
-        if name == "bfgs":
-            _bfgs_update(state, x_new - x, g_new - gx)
+        if update is not None:
+            update(state, x_new - x, g_new - gx)
         rel = abs(f_new - fx) / max(1.0, abs(f_new))
         x, fx, gx = x_new, f_new, g_new
         path.append(-fx)
@@ -205,9 +201,7 @@ def _stage_loop(name, direction_fn, f, g, x, fx, gx, opts):
 
 
 def _bfgs_update(state, s, y):
-    H = state.get("H")
-    if H is None:
-        H = np.eye(s.shape[0])
+    H = state["H"]  # set by _bfgs_direction before every step
     sy = float(s @ y)
     if sy > 1e-10 * np.linalg.norm(s) * np.linalg.norm(y):
         rho = 1.0 / sy
@@ -275,7 +269,7 @@ def fd_hessian(design_or_data, spec, params, use_weights=False) -> np.ndarray:
 
 
 def _run_cascade(f, g, x0, opts):
-    fx, _ = f(x0)
+    fx = f(x0)
     if not np.isfinite(fx):
         raise NonFiniteObjectiveAtInit(
             "log-likelihood is not finite at the starting point"
@@ -287,13 +281,13 @@ def _run_cascade(f, g, x0, opts):
     stages_used = []
     status = "converged"
     stages = (
-        ("bfgs", _bfgs_direction),
-        ("newton", _make_newton_direction(g)),
-        ("ascent", _steepest_direction),
+        ("bfgs", _bfgs_direction, _bfgs_update),
+        ("newton", _make_newton_direction(g), None),
+        ("ascent", _steepest_direction, None),
     )
-    for name, direction in stages:
+    for name, direction, update in stages:
         x, fx, gx, iters, status, seg = _stage_loop(
-            name, direction, f, g, x, fx, gx, opts
+            direction, update, f, g, x, fx, gx, opts
         )
         total_iters += iters
         path += seg

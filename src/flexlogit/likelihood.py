@@ -369,11 +369,12 @@ def build_design_matrix(spec: ModelSpec, covariates, columns, alt_ids, alternati
     alt_ids = np.asarray(alt_ids)
     n = covariates.shape[0]
     X = np.zeros((n, len(spec.coefficients)))
-    alt_pos = {int(a): i for i, a in enumerate(alternatives)}
-    try:
-        alt_index = np.array([alt_pos[int(a)] for a in alt_ids], dtype=np.int64)
-    except KeyError as e:
-        raise SpecDataMismatch(f"alternative {e} not in the alternative set") from None
+    alts = np.asarray(alternatives, dtype=np.int64)
+    order = np.argsort(alts)  # positions follow ``alternatives``, sorted or not
+    alt_index = order.take(np.searchsorted(alts, alt_ids, sorter=order), mode="clip")
+    unknown = alt_ids[alts[alt_index] != alt_ids]
+    if unknown.size:
+        raise SpecDataMismatch(f"alternative {unknown[0]} not in the alternative set")
     for k, coef in enumerate(spec.coefficients):
         try:
             j = columns.index(coef.column)
@@ -470,8 +471,9 @@ def probabilities(data: ChoiceDataset, spec: ModelSpec, params: NaturalParams) -
     """Per-row choice probabilities; rows of an observation sum to one."""
     validate_params(spec, params, data.alternatives)
     d = build_design(data, spec)
-    expo, _, _, _ = _s_rows(spec, params, d.X, d.alt_index, d.alternatives)
-    return _softmax_rows(expo, d.obs_ptr, d.row_obs)
+    return probabilities_from_design(
+        spec, params, d.X, d.alt_index, d.alternatives, d.obs_ptr
+    )
 
 
 def _chosen_logprobs(design: Design, spec, params, grad=False):

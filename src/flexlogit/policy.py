@@ -5,11 +5,12 @@ or subtract floored at zero) applied to the rows matched by a predicate over
 alternative ids, observation ids, and covariate conditions. Edit amounts are
 tiny product expressions that may reference a sweep parameter and other
 covariate columns, e.g. ``"toll * crossings"``. Scenarios never mutate the
-input dataset; every application returns an edited copy.
+input dataset; ``apply_scenario`` returns an edited copy.
 
 ``enumerate_shares`` aggregates predicted probabilities into expected
 per-alternative counts E[N_j] = sum_i w_i P_ij, and ``sweep`` repeats that
-over a grid of the scenario's sweep parameter.
+over a grid of the scenario's sweep parameter, compiling the data once: each
+point recomputes only the design matrix X from edited covariates.
 
 ``select_targets`` ranks individuals for an incentive (a fare subsidy whose
 cost is borne per selected individual) by predicted probability gain per
@@ -27,9 +28,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import ChoiceDataset
-from .errors import EmptySelection, MissingColumn, SpecError
+from .errors import EmptySelection, MissingColumn, NonNumericCell, SpecError
 from .estimation import EstimationResult
-from .likelihood import ModelSpec, NaturalParams, probabilities
+from .likelihood import (ModelSpec, NaturalParams, build_design, build_design_matrix,
+                         probabilities_from_design, validate_params)
 
 __all__ = [
     "EditCondition",
@@ -181,6 +183,10 @@ def apply_scenario(
     values: dict[str, float] | None = None,
 ) -> ChoiceDataset:
     """Return an edited copy of the dataset; the input is untouched."""
+    return data.with_covariates(_edited_covariates(data, scenario, values))
+
+
+def _edited_covariates(data: ChoiceDataset, scenario: Scenario, values) -> np.ndarray:
     values = dict(values or {})
     if scenario.sweep_parameter and scenario.sweep_parameter not in values:
         raise SpecError(
@@ -202,7 +208,30 @@ def apply_scenario(
             cov[mask, j] = amount
         else:  # subtract_floor0
             cov[mask, j] = np.maximum(cov[mask, j] - amount, 0.0)
-    return data.with_covariates(cov)
+    return cov
+
+
+def _probabilities_at(data, design, spec, params, cov) -> np.ndarray:
+    """Probabilities with ``cov`` as the covariates, on the compiled rows; the
+    identification checks ran on the unedited data, so ``cov`` may not pass them."""
+    if not np.all(np.isfinite(cov)):
+        raise NonNumericCell("covariates contain NaN or infinite entries")
+    X, _ = build_design_matrix(spec, cov, data.columns, data.alt_ids, design.alternatives)
+    return probabilities_from_design(
+        spec, params, X, design.alt_index, design.alternatives, design.obs_ptr
+    )
+
+
+def _shares_at(data, design, spec, params, scenario, values):
+    cov = _edited_covariates(data, scenario, values) if scenario else data.covariates
+    P = _probabilities_at(data, design, spec, params, cov)
+    total = float(np.sum(data.obs_weights()))
+    out = {}
+    for a in data.alternatives:
+        mask = data.alt_ids == a
+        count = float(np.sum(data.weights[mask] * P[mask]))
+        out[int(a)] = (count, count / total)
+    return out
 
 
 def enumerate_shares(
@@ -217,16 +246,8 @@ def enumerate_shares(
     E[N_j] = sum over rows of alternative j of w_i P_ij; the counts sum to
     the total observation weight, the shares to one.
     """
-    edited = apply_scenario(data, scenario, values) if scenario else data
-    P = probabilities(edited, spec, params)
-    w_rows = edited.weights
-    total = float(np.sum(edited.obs_weights()))
-    out = {}
-    for a in edited.alternatives:
-        mask = edited.alt_ids == a
-        count = float(np.sum(w_rows[mask] * P[mask]))
-        out[int(a)] = (count, count / total)
-    return out
+    validate_params(spec, params, data.alternatives)
+    return _shares_at(data, build_design(data, spec), spec, params, scenario, values)
 
 
 def sweep(
@@ -238,13 +259,14 @@ def sweep(
     """Expected counts/shares at every grid point of the sweep parameter."""
     if not scenario.sweep_parameter:
         raise SpecError("scenario has no sweep parameter")
-    rows = []
-    for value in scenario.sweep_grid:
-        shares = enumerate_shares(
-            data, spec, params, scenario, {scenario.sweep_parameter: value}
-        )
-        rows.append({"value": float(value), "by_alt": shares})
-    return rows
+    validate_params(spec, params, data.alternatives)
+    design = build_design(data, spec)
+    return [
+        {"value": float(value), "by_alt": _shares_at(
+            data, design, spec, params, scenario, {scenario.sweep_parameter: value}
+        )}
+        for value in scenario.sweep_grid
+    ]
 
 
 # -- targeting ---------------------------------------------------------------
@@ -291,7 +313,7 @@ class SelectionReport:
         return self.total_cost / self.total_gain_truth
 
 
-def _pass_edited(problem: TargetingProblem) -> ChoiceDataset:
+def _pass_edited(problem: TargetingProblem, row_obs: np.ndarray) -> np.ndarray:
     data = problem.data
     j = data.columns.index(problem.cost_column) if problem.cost_column in data.columns else None
     if j is None:
@@ -301,23 +323,13 @@ def _pass_edited(problem: TargetingProblem) -> ChoiceDataset:
     target_rows = data.alt_ids == problem.target_alt
     # fare of the target alternative, broadcast to the observation's rows
     fare_by_obs = np.zeros(data.n_obs)
-    obs_pos = np.repeat(np.arange(data.n_obs), np.diff(data.obs_ptr))
-    fare_by_obs[obs_pos[target_rows]] = col[target_rows]
-    fare_rows = fare_by_obs[obs_pos]
+    fare_by_obs[row_obs[target_rows]] = col[target_rows]
+    fare_rows = fare_by_obs[row_obs]
     for a in problem.related_alts:
         rows = data.alt_ids == a
         cov[rows, j] = np.maximum(col[rows] - fare_rows[rows], 0.0)
     cov[target_rows, j] = 0.0
-    return data.with_covariates(cov)
-
-
-def _target_probability(data, result: EstimationResult, target_alt) -> np.ndarray:
-    P = probabilities(data, result.spec, result.params)
-    rows = data.alt_ids == target_alt
-    obs_pos = np.repeat(np.arange(data.n_obs), np.diff(data.obs_ptr))
-    out = np.zeros(data.n_obs)
-    out[obs_pos[rows]] = P[rows]
-    return out
+    return cov
 
 
 def select_targets(
@@ -335,32 +347,23 @@ def select_targets(
     ranked individual is affordable.
     """
     data = problem.data
-    edited = _pass_edited(problem)
-    p0 = _target_probability(data, problem.selection_model, problem.target_alt)
-    p1 = _target_probability(edited, problem.selection_model, problem.target_alt)
-    gain = p1 - p0
-    t0 = _target_probability(data, problem.truth_model, problem.target_alt)
-    t1 = _target_probability(edited, problem.truth_model, problem.target_alt)
-    gain_truth = t1 - t0
-
-    obs = data.unique_obs()
-    col = data.column(problem.cost_column)
+    models = (problem.selection_model, problem.truth_model)
+    for m in models:
+        validate_params(m.spec, m.params, data.alternatives)
+    designs = [build_design(data, m.spec) for m in models]
+    cov = _pass_edited(problem, designs[0].row_obs)
     target_rows = data.alt_ids == problem.target_alt
-    obs_pos = np.repeat(np.arange(data.n_obs), np.diff(data.obs_ptr))
-    fare = np.zeros(data.n_obs)
-    fare[obs_pos[target_rows]] = col[target_rows]
-    has_target = np.zeros(data.n_obs, dtype=bool)
-    has_target[obs_pos[target_rows]] = True
-    cost = problem.cost_multiplier * fare
-
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = np.where(
-            cost > 0, gain / np.where(cost > 0, cost, 1.0),
-            np.where(gain > 0, np.inf, 0.0),
-        )
-    ratio = np.where(has_target, ratio, -np.inf)
+    gain, gain_truth = (
+        _probabilities_at(data, d, m.spec, m.params, cov)[target_rows]
+        - _probabilities_at(data, d, m.spec, m.params, data.covariates)[target_rows]
+        for d, m in zip(designs, models)
+    )
+    # only observations that offer the target alternative are ranked
+    obs = data.unique_obs()[designs[0].row_obs[target_rows]]
+    cost = problem.cost_multiplier * data.column(problem.cost_column)[target_rows]
+    ratio = np.where(cost > 0, gain / np.where(cost > 0, cost, 1.0),
+                     np.where(gain > 0, np.inf, 0.0))
     order = np.lexsort((obs, -ratio))
-    order = order[has_target[order]]
 
     selected, skipped, spent = [], 0, 0.0
     for i in order:

@@ -117,5 +117,5 @@ def packed_fd_gradient(data, spec, x, use_weights=False, rel_step=1e-6):
         h = rel_step * max(1.0, abs(float(x[m])))
         e = np.zeros_like(x)
         e[m] = h
-        out[m] = -(f(x + e)[0] - f(x - e)[0]) / (2 * h)
+        out[m] = -(f(x + e) - f(x - e)) / (2 * h)
     return out

@@ -306,6 +306,25 @@ def test_policy_sweep_from_saved_params(ws, tmp_path):
         assert shares[0] < shares[1] < shares[2]
 
 
+@pytest.mark.parametrize("amount,rc", [("c", 0), ("1e308 * 1e308 * c", 3)])
+def test_policy_sweep_edit_exit_codes(ws, tmp_path, capsys, amount, rc):
+    # zeroing a generic covariate everywhere is a valid scenario; an edit
+    # that overflows the covariates is a data error
+    scenario = tmp_path / "edit.json"
+    scenario.write_text(json.dumps({
+        "name": "edit",
+        "edits": [{"column": "cost", "op": "multiply", "amount": amount}],
+        "sweep": {"parameter": "c", "grid": [0.0, 1.0]},
+    }))
+    got = main(["policy-sweep", *base(ws), "--spec", str(ws / "mnl.json"),
+                "--scenario", str(scenario), "--out", str(tmp_path / "o")])
+    assert got == rc
+    if rc == 3:
+        assert "covariates contain NaN or infinite entries" in capsys.readouterr().err
+    else:
+        assert len(read_rows(tmp_path / "o" / "sweep.csv")) == 6
+
+
 # ---------------------------------------------------------------------------
 # policy-target
 # ---------------------------------------------------------------------------

@@ -346,6 +346,17 @@ def test_coefficient_scoping_masks_design():
     np.testing.assert_array_equal(X[mask, 1], d.column("cost")[mask])
     assert np.all(X[~mask, 1] == 0.0)
     np.testing.assert_array_equal(alt_index, d.alt_ids - 1)
+    # positions follow the order of the alternatives argument, sorted or not
+    X2, alt_index = build_design_matrix(
+        spec, d.covariates, d.columns, d.alt_ids, (3, 1, 2)
+    )
+    np.testing.assert_array_equal(X2, X)
+    np.testing.assert_array_equal(alt_index, np.array([1, 2, 0])[d.alt_ids - 1])
+    with pytest.raises(SpecDataMismatch, match="alternative 5 not in the alternative set"):
+        build_design_matrix(
+            spec, d.covariates, d.columns, np.where(d.alt_ids == 2, 5, d.alt_ids),
+            (3, 1, 2),
+        )
 
 
 def test_build_design_errors():

@@ -1,8 +1,13 @@
+import dataclasses
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
+import policy_oracle
+from flexlogit import policy
 from flexlogit.data import ChoiceDataset, CovariateSpec, SimulationConfig, simulate
-from flexlogit.errors import EmptySelection, MissingColumn, SpecError
+from flexlogit.errors import EmptySelection, MissingColumn, NonNumericCell, SpecError
 from flexlogit.estimation import fit
 from flexlogit.likelihood import Coefficient, ModelSpec, NaturalParams, probabilities
 from flexlogit.policy import (
@@ -380,3 +385,126 @@ def test_targeting_excludes_obs_without_target_alt(targeting_fixture):
     rep = select_targets(prob2, budget=1e9)
     assert 0 not in rep.ranked_obs
     assert rep.ranked_obs.shape[0] == trimmed.n_obs - 1
+
+
+# ---------------------------------------------------------------------------
+# one compiled design per spec
+# ---------------------------------------------------------------------------
+
+
+def toll_scenario():
+    return Scenario(
+        "toll",
+        (
+            edit(column="fare", op="add", amount="toll", alt_ids=(1,)),
+            edit(column="fare", op="multiply", amount="1.1 * toll",
+                 conditions=(EditCondition("fare", "gt", 1.5),)),
+        ),
+        sweep_parameter="toll",
+        sweep_grid=(0.0, 0.35, 1.0, 2.5),
+    )
+
+
+def weighted_targeting_problem():
+    data = toy_dataset(n_obs=40, seed=21, low=0.5, high=2.5,
+                       columns=("time", "fare"), weights=np.linspace(0.5, 3.0, 40))
+    coefs = (Coefficient("time", "time"), Coefficient("fare", "fare"))
+    selection = SimpleNamespace(
+        spec=ModelSpec("mnl", 3, coefs),
+        params=NaturalParams(beta=[0.3, -0.9], tau={1: 0.2, 2: -0.4}),
+    )
+    truth = SimpleNamespace(
+        spec=ModelSpec("uneven_logit", 3, coefs),
+        params=NaturalParams(beta=[0.3, -0.7], tau={1: 0.1, 2: -0.3},
+                             gamma={1: 2.0, 2: 1.0, 3: 0.5}),
+    )
+    return TargetingProblem(data=data, selection_model=selection,
+                            truth_model=truth, target_alt=1,
+                            cost_column="fare", related_alts=(2,))
+
+
+@pytest.mark.parametrize("which", ["simulated", "weighted"])
+def test_compiled_policy_equals_rebuilt_datasets(targeting_fixture, which):
+    problem = targeting_fixture if which == "simulated" else weighted_targeting_problem()
+    data, sc = problem.data, toll_scenario()
+    for m in (problem.selection_model, problem.truth_model):
+        assert sweep(data, m.spec, m.params, sc) == policy_oracle.sweep(
+            data, m.spec, m.params, sc)
+        for scenario, values in ((None, None), (sc, {"toll": 0.7})):
+            assert enumerate_shares(data, m.spec, m.params, scenario, values) == (
+                policy_oracle.enumerate_shares(data, m.spec, m.params, scenario, values)
+            )
+    for budget, skip in ((40.0, True), (300.0, False), (2000.0, True), (1e9, False)):
+        got = select_targets(problem, budget, skip)
+        want = policy_oracle.select_targets(problem, budget, skip)
+        for f in dataclasses.fields(SelectionReport):
+            a, b = getattr(got, f.name), getattr(want, f.name)
+            assert np.array_equal(a, b) and np.asarray(a).dtype == np.asarray(b).dtype, f.name
+
+
+def test_policy_compiles_each_spec_once(monkeypatch, targeting_fixture):
+    def refuse(self, covariates):
+        raise AssertionError("scenario points reuse the compiled design")
+
+    monkeypatch.setattr(ChoiceDataset, "with_covariates", refuse)
+    calls = []
+    real = policy.build_design
+
+    def counting(data, spec):
+        calls.append(spec.transform)
+        return real(data, spec)
+
+    monkeypatch.setattr(policy, "build_design", counting)
+    problem = targeting_fixture
+    m = problem.truth_model
+    rows = sweep(problem.data, m.spec, m.params, toll_scenario())
+    assert len(rows) == 4 and len(calls) == 1
+    calls.clear()
+    rep = select_targets(problem, budget=500.0)
+    assert rep.selected_obs.size > 0 and len(calls) <= 2
+
+
+def test_scenario_may_make_generic_column_constant():
+    # the collinearity check is about identification when estimating; it
+    # runs on the unedited data, and the edited probabilities are well defined
+    d = toy_dataset(n_obs=10)
+    spec = ModelSpec(
+        "mnl", 3, (Coefficient("time", "time"), Coefficient("cost", "cost"))
+    )
+    params = NaturalParams(beta=[-0.5, -0.8], tau={1: 0.2, 2: -0.1})
+    free = Scenario("free", (edit(op="set", amount=0.0),))
+    got = enumerate_shares(d, spec, params, free)
+    time_only = ModelSpec("mnl", 3, (Coefficient("time", "time"),))
+    want = enumerate_shares(d, time_only, NaturalParams(beta=[-0.5], tau=params.tau))
+    for a in d.alternatives:
+        assert got[a] == pytest.approx(want[a], rel=1e-12)
+    swept = Scenario("free", (edit(op="set", amount="c"),), "c", (0.0, 1.0))
+    rows = sweep(d, spec, params, swept)
+    assert rows[0]["by_alt"] == got
+    assert sum(s for _, s in rows[1]["by_alt"].values()) == pytest.approx(1.0)
+
+
+def test_non_finite_edit_raises_non_numeric_cell(targeting_fixture):
+    d = toy_dataset(n_obs=10)
+    spec = ModelSpec(
+        "mnl", 3, (Coefficient("time", "time"), Coefficient("cost", "cost"))
+    )
+    params = NaturalParams(beta=[-0.5, -0.8], tau={1: 0.2, 2: -0.1})
+    msg = "covariates contain NaN or infinite entries"
+    blow = Scenario("blow", (edit(op="multiply", amount="1e308 * 1e308"),))
+    with pytest.raises(NonNumericCell, match=msg):
+        enumerate_shares(d, spec, params, blow)
+    blow_k = Scenario("blow", (edit(op="multiply", amount="1e308 * k"),), "k", (1.0, 1e308))
+    with np.errstate(over="ignore"), pytest.raises(NonNumericCell, match=msg):
+        sweep(d, spec, params, blow_k)
+
+    # the pass edit overflows: a related fare minus a negative target fare
+    problem = targeting_fixture
+    data = problem.data
+    cov = data.covariates.copy()
+    j = data.columns.index("fare")
+    cov[(data.obs_ids == 0) & (data.alt_ids == 1), j] = -1e308
+    cov[(data.obs_ids == 0) & (data.alt_ids == 2), j] = 1e308
+    bad = dataclasses.replace(problem, data=data.with_covariates(cov))
+    with np.errstate(over="ignore"), pytest.raises(NonNumericCell, match=msg):
+        select_targets(bad, budget=1e9)
