@@ -55,7 +55,7 @@ def main(argv=None) -> int:
 
     families = ["mnl", "cloglog", "scobit", "uneven_logit", "asym_logit"]
     specs = {f: spec_of(f) for f in families}
-    fits = {f: fit(data, s, compute_hessian=False) for f, s in specs.items()}
+    fits = {f: fit(data, s) for f, s in specs.items()}
     base = fits["mnl"]
 
     report = cross_validate(data, specs, k=args.k, seed=args.seed,

@@ -61,8 +61,8 @@ def main(argv=None) -> int:
     )
     data = simulate(cfg)
 
-    selection = fit(data, spec_of("mnl"), compute_hessian=False)
-    truth = fit(data, spec_of("uneven_logit"), compute_hessian=False)
+    selection = fit(data, spec_of("mnl"))
+    truth = fit(data, spec_of("uneven_logit"))
     for label, res in (("selection (mnl)", selection), ("truth (uneven)", truth)):
         b_fare = res.params.beta[0]
         print(f"{label:<18} ll {res.ll:9.2f}   fare coefficient {b_fare:+.3f}")

@@ -66,7 +66,7 @@ def main(argv=None) -> int:
     failures = 0
     for r in range(args.reps):
         cfg = build_config(args.family, args.n_obs, args.seed + r)
-        res = fit(simulate(cfg), cfg.spec, compute_hessian=False)
+        res = fit(simulate(cfg), cfg.spec)
         if res.status != "converged":
             failures += 1
         estimates[r] = res.packed

@@ -19,7 +19,7 @@ from .data import (
     simulate,
     write_csv,
 )
-from .estimation import EstimationResult, FitOptions, default_init, fit
+from .estimation import EstimationResult, FitOptions, default_init, fd_hessian, fit
 from .inference import BootstrapRun, LRTestResult, bca_interval, bootstrap, lr_test
 from .likelihood import (
     Coefficient,
@@ -66,6 +66,7 @@ __all__ = [
     "EstimationResult",
     "fit",
     "default_init",
+    "fd_hessian",
     "LRTestResult",
     "lr_test",
     "BootstrapRun",

@@ -4,8 +4,12 @@ Subcommands mirror the library: ``estimate``, ``lrtest``, ``bootstrap``,
 ``crossval``, ``simulate``, ``policy-sweep``, and ``policy-target``. Every
 run writes its tables as CSV plus a ``manifest.json`` recording the command,
 arguments, seed, and output files; given the same inputs and seed the output
-bytes are identical across runs. Exit codes: 0 success, 2 configuration
-error, 3 data error, 4 estimation failure.
+bytes are identical across runs. Each subcommand declares only the flags it
+reads: ``--threads`` belongs to ``estimate``, ``bootstrap`` and ``crossval``,
+the commands that refit in parallel, and ``simulate`` takes only
+``--config``, ``--out`` and ``--seed``. ``estimate --bootstrap`` and
+``bootstrap`` write the same BCa interval table. Exit codes: 0 success, 2
+configuration error, 3 data error, 4 estimation failure.
 """
 
 from __future__ import annotations
@@ -31,9 +35,9 @@ from .data import (
 from .errors import (
     DataError,
     EmptySelection,
-    EstimationError,
     FlexLogitError,
     InvalidParams,
+    KTooLarge,
     SpecError,
 )
 from .estimation import FitOptions, fit
@@ -81,7 +85,7 @@ def _write_manifest(out: Path, command: str, args: dict, outputs: list[str]) -> 
 
 def _load_data(args) -> ChoiceDataset:
     schema = None
-    if getattr(args, "schema", None):
+    if args.schema:
         with open(args.schema) as fh:
             schema = SchemaMapping.from_dict(json.load(fh))
     return load_csv(args.data, schema)
@@ -89,12 +93,12 @@ def _load_data(args) -> ChoiceDataset:
 
 def _load_options(args) -> FitOptions:
     kwargs = {}
-    if getattr(args, "options", None):
+    if args.options:
         with open(args.options) as fh:
             kwargs = json.load(fh)
-    if getattr(args, "weights", False):
+    if args.weights:
         kwargs["use_weights"] = True
-    if getattr(args, "seed", None) is not None:
+    if args.seed is not None:
         kwargs.setdefault("seed", args.seed)
     return FitOptions.from_dict(kwargs)
 
@@ -105,6 +109,22 @@ def _stars(lo95, hi95, lo99, hi99) -> str:
     if lo95 > 0 or hi95 < 0:
         return "*"
     return ""
+
+
+def _write_intervals(path: Path, res, run) -> list[str]:
+    """Write the estimates with their 95% and 99% BCa endpoints and stars;
+    returns the stars."""
+    iv95 = bca_interval(run, res.packed, 0.95)
+    iv99 = bca_interval(run, res.packed, 0.99)
+    rows = [
+        [n, float(res.packed[m]), float(iv95[m, 0]), float(iv95[m, 1]),
+         float(iv99[m, 0]), float(iv99[m, 1]),
+         _stars(iv95[m, 0], iv95[m, 1], iv99[m, 0], iv99[m, 1])]
+        for m, n in enumerate(res.param_names)
+    ]
+    _write_table(path, ["parameter", "estimate", "lo95", "hi95", "lo99", "hi99", "stars"],
+                 rows)
+    return [r[-1] for r in rows]
 
 
 def _print_summary(names, estimates, stars=None) -> None:
@@ -134,20 +154,7 @@ def cmd_estimate(args) -> int:
             data, spec, B=args.bootstrap, seed=args.seed or 0,
             options=opts, threads=args.threads,
         )
-        iv95 = bca_interval(run, res.packed, 0.95)
-        iv99 = bca_interval(run, res.packed, 0.99)
-        stars = [
-            _stars(iv95[m, 0], iv95[m, 1], iv99[m, 0], iv99[m, 1])
-            for m in range(len(res.param_names))
-        ]
-        rows = [
-            [n, float(res.packed[m]), float(iv95[m, 0]), float(iv95[m, 1]),
-             float(iv99[m, 0]), float(iv99[m, 1]), stars[m]]
-            for m, n in enumerate(res.param_names)
-        ]
-        _write_table(out / "params.csv",
-                     ["parameter", "estimate", "lo95", "hi95", "lo99", "hi99", "stars"],
-                     rows)
+        stars = _write_intervals(out / "params.csv", res, run)
     else:
         stars = None
         _write_table(out / "params.csv", ["parameter", "estimate"],
@@ -192,18 +199,7 @@ def cmd_bootstrap(args) -> int:
         data, spec, B=args.B, seed=args.seed or 0,
         stratified=not args.unstratified, options=opts, threads=args.threads,
     )
-    iv95 = bca_interval(run, res.packed, 0.95)
-    iv99 = bca_interval(run, res.packed, 0.99)
-    rows, stars = [], []
-    for m, name in enumerate(res.param_names):
-        s = _stars(iv95[m, 0], iv95[m, 1], iv99[m, 0], iv99[m, 1])
-        stars.append(s)
-        rows.append([name, float(res.packed[m]),
-                     float(iv95[m, 0]), float(iv95[m, 1]),
-                     float(iv99[m, 0]), float(iv99[m, 1]), s])
-    _write_table(out / "intervals.csv",
-                 ["parameter", "estimate", "lo95", "hi95", "lo99", "hi99", "stars"],
-                 rows)
+    stars = _write_intervals(out / "intervals.csv", res, run)
     _write_manifest(out, "bootstrap", vars(args) | {"failures": run.failures},
                     ["intervals.csv"])
     _print_summary(res.param_names, res.packed, stars)
@@ -358,18 +354,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--version", action="version", version=__version__)
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp, data=True):
-        if data:
-            sp.add_argument("--data", required=True, help="long-format CSV")
-            sp.add_argument("--schema", help="JSON column mapping")
+    def common(sp, threads=False):
+        sp.add_argument("--data", required=True, help="long-format CSV")
+        sp.add_argument("--schema", help="JSON column mapping")
         sp.add_argument("--options", help="JSON fit options")
         sp.add_argument("--seed", type=int, default=None)
-        sp.add_argument("--threads", type=int, default=1)
+        if threads:
+            sp.add_argument("--threads", type=int, default=1)
         sp.add_argument("--weights", action="store_true",
                         help="weight the likelihood by the weight column")
 
     sp = sub.add_parser("estimate", help="fit one model")
-    common(sp)
+    common(sp, threads=True)
     sp.add_argument("--spec", required=True, help="model spec JSON")
     sp.add_argument("--out", required=True)
     sp.add_argument("--bootstrap", type=int, default=0, metavar="B",
@@ -386,7 +382,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_lrtest)
 
     sp = sub.add_parser("bootstrap", help="BCa intervals for one model")
-    common(sp)
+    common(sp, threads=True)
     sp.add_argument("--spec", required=True)
     sp.add_argument("--out", required=True)
     sp.add_argument("--B", type=int, default=1000)
@@ -394,7 +390,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_bootstrap)
 
     sp = sub.add_parser("crossval", help="stratified k-fold comparison")
-    common(sp)
+    common(sp, threads=True)
     sp.add_argument("--spec", required=True, action="append",
                     help="label=spec.json (repeatable)")
     sp.add_argument("--k", type=int, default=10)
@@ -402,9 +398,9 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_crossval)
 
     sp = sub.add_parser("simulate", help="draw a synthetic dataset")
-    common(sp, data=False)
     sp.add_argument("--config", required=True, help="simulation JSON")
     sp.add_argument("--out", required=True)
+    sp.add_argument("--seed", type=int, default=None)
     sp.set_defaults(func=cmd_simulate)
 
     sp = sub.add_parser("policy-sweep", help="expected shares over a parameter grid")
@@ -437,21 +433,22 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
+    except DataError as e:  # before ValueError: EmptyDataset is both
+        print(f"data error: {e}", file=sys.stderr)
+        return DATA_EXIT
     except (
         FileNotFoundError,
         json.JSONDecodeError,
         SpecError,
         InvalidParams,
         EmptySelection,
+        KTooLarge,
         ValueError,
         KeyError,
     ) as e:
         print(f"configuration error: {e}", file=sys.stderr)
         return CONFIG_EXIT
-    except DataError as e:
-        print(f"data error: {e}", file=sys.stderr)
-        return DATA_EXIT
-    except (EstimationError, FlexLogitError) as e:
+    except FlexLogitError as e:
         print(f"estimation error: {e}", file=sys.stderr)
         return ESTIMATION_EXIT
 

@@ -20,6 +20,7 @@ import numpy as np
 
 from .errors import (
     DuplicateAltForObs,
+    EmptyDataset,
     MissingColumn,
     MultipleChoicesForObs,
     NoChoiceForObs,
@@ -97,7 +98,7 @@ class ChoiceDataset:
         if cov.shape != (obs.shape[0], len(self.columns)):
             raise ValueError("covariate matrix shape does not match columns")
         if obs.shape[0] == 0:
-            raise ValueError("dataset has no rows")
+            raise EmptyDataset("dataset has no rows")
         if not np.all(np.isfinite(cov)):
             raise NonNumericCell("covariates contain NaN or infinite entries")
         if not np.all(np.isfinite(w)) or np.any(w < 0):

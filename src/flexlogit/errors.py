@@ -15,6 +15,10 @@ class MissingColumn(DataError):
     pass
 
 
+class EmptyDataset(DataError, ValueError):
+    """A dataset has no rows, e.g. a CSV file with only a header."""
+
+
 class DuplicateAltForObs(DataError):
     pass
 

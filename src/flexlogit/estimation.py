@@ -15,8 +15,10 @@ below ``tol_grad``. A stage that can no longer improve the objective
 (relative change below ``tol_ll`` on consecutive accepted steps, or a failed
 line search) hands its best point to the next stage.
 
-The reported Hessian is a central finite difference of the analytic score at
-the optimum; no analytic second derivatives exist anywhere in the package.
+``fit`` computes no Hessian at the optimum. ``fd_hessian(data, spec,
+res.params, use_weights)`` gives one on request: a central finite difference
+of the analytic score. No analytic second derivatives exist anywhere in the
+package.
 """
 
 from __future__ import annotations
@@ -92,7 +94,6 @@ class EstimationResult:
     ll_by_alt: dict[int, float]
     score: np.ndarray
     grad_norm_inf: float
-    hessian: np.ndarray | None
     status: str  # converged | max_iters | line_search_failed
     iterations: int
     optimizer_used: str
@@ -302,7 +303,6 @@ def fit(
     spec: ModelSpec,
     init: np.ndarray | NaturalParams | None = None,
     options: FitOptions | None = None,
-    compute_hessian: bool = True,
 ) -> EstimationResult:
     """Maximize the log-likelihood; returns the best point found.
 
@@ -354,7 +354,6 @@ def fit(
     # shapes that under- or overflowed at the optimum are not admissible
     validate_params(spec, params, design.alternatives)
     ll, floored = ll_with_design(design, spec, params, opts.use_weights)
-    hess = fd_hessian(design, spec, params, opts.use_weights) if compute_hessian else None
 
     return EstimationResult(
         spec=spec,
@@ -367,7 +366,6 @@ def fit(
         ),
         score=-gx,
         grad_norm_inf=float(np.max(np.abs(gx))),
-        hessian=hess,
         status=status,
         iterations=iters,
         optimizer_used=optimizer_used,

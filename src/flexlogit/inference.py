@@ -139,7 +139,7 @@ def bootstrap(
 
     opts = options or FitOptions()
     design = build_design(data, spec)
-    full = fit(design, spec, options=opts, compute_hessian=False)
+    full = fit(design, spec, options=opts)
     x_hat = full.packed
     uniq = data.unique_obs()
 
@@ -175,12 +175,12 @@ def bootstrap(
 
 def _refit(sample, spec, x_hat, opts) -> tuple[np.ndarray, bool]:
     try:
-        res = fit(sample, spec, init=x_hat, options=opts, compute_hessian=False)
+        res = fit(sample, spec, init=x_hat, options=opts)
     except EstimationError:
         res = None
     if res is None or not res.converged:
         try:
-            res = fit(sample, spec, options=opts, compute_hessian=False)
+            res = fit(sample, spec, options=opts)
         except EstimationError:
             return x_hat.copy(), False
     return res.packed, res.converged

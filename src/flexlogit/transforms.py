@@ -170,7 +170,7 @@ class CLogLog(TransformFamily):
 
     def value(self, v, gamma=None, n_alts=None, grad=False):
         v = _as_float_array(v)
-        self.domain(v, raise_=True)
+        self._check_domain(v, ~(v > _EXP_OVERFLOW), "V <= 709 (exp(V) must be finite)")
         y = np.exp(v)
         out = v.copy()
         hi = y > _ASYMPTOTE
@@ -185,12 +185,8 @@ class CLogLog(TransformFamily):
         dv[live] = y[live] / (-np.expm1(-y[live]))
         return out, dv, None
 
-    def domain(self, v, gamma=None, raise_=False):
-        v = _as_float_array(v)
-        bad = v > _EXP_OVERFLOW
-        if np.any(bad):
-            if raise_:
-                self._check_domain(v, ~bad, "V <= 709 (exp(V) must be finite)")
+    def domain(self, v, gamma=None):
+        if np.any(_as_float_array(v) > _EXP_OVERFLOW):
             return "V <= 709 (exp(V) must be finite)"
         return None
 

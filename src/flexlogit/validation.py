@@ -109,7 +109,7 @@ def cross_validate(
         design = designs[label]
         train = design.take(np.setdiff1d(np.arange(uniq.shape[0]), folds[f]))
         try:
-            res = fit(train, spec, options=opts, compute_hessian=False)
+            res = fit(train, spec, options=opts)
         except EstimationError:
             return {"spec": label, "fold": f, "converged": False,
                     "train_ll": np.nan, "test_ll": np.nan}

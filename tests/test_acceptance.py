@@ -202,14 +202,14 @@ def test_nesting_reductions_and_ll_dominance(mnl_sim_small, scobit_sim_small):
         # each flexible family's MLE must reach at least the MNL optimum
         margins = []
         for sim_data, _, _ in (mnl_sim_small, scobit_sim_small):
-            base = fit(sim_data, mnl_spec(), compute_hessian=False)
+            base = fit(sim_data, mnl_spec())
             for family in ("scobit", "uneven_logit", "asym_logit"):
                 flex = spec_for(family)
                 warm = _mnl_embedded_init(family, base.params,
                                           sim_data.alternatives)
                 best = max(
-                    fit(sim_data, flex, compute_hessian=False).ll,
-                    fit(sim_data, flex, init=warm, compute_hessian=False).ll,
+                    fit(sim_data, flex).ll,
+                    fit(sim_data, flex, init=warm).ll,
                 )
                 assert best >= base.ll - 1e-6, (family, best - base.ll)
                 margins.append(best - base.ll)
@@ -231,7 +231,7 @@ def test_parameter_recovery_at_scale():
         data = simulate(SimulationConfig(spec=spec, true_params=true,
                                          alternatives=(1, 2, 3), n_obs=20000,
                                          covariates=covs, seed=42))
-        res = fit(data, spec, compute_hessian=False)
+        res = fit(data, spec)
         assert res.status == "converged"
         mnl_errs = list(np.abs(np.asarray(res.params.beta) - true.beta))
         mnl_errs += [abs(res.params.tau[a] - true.tau[a]) for a in (1, 2)]
@@ -243,7 +243,7 @@ def test_parameter_recovery_at_scale():
         data_s = simulate(SimulationConfig(spec=spec_s, true_params=true_s,
                                            alternatives=(1, 2, 3), n_obs=20000,
                                            covariates=covs, seed=7))
-        res_s = fit(data_s, spec_s, compute_hessian=False)
+        res_s = fit(data_s, spec_s)
         assert res_s.status == "converged"
         beta_errs = np.abs(np.asarray(res_s.params.beta) - true_s.beta)
         shape_errs = [abs(res_s.params.gamma[a] - true_s.gamma[a])
@@ -454,7 +454,7 @@ def test_policy_sweep_conservation_and_targeting_oracle():
                              chosen=sim.chosen, weights=np.repeat(w_obs, 3),
                              covariates=sim.covariates, columns=sim.columns)
 
-        sel = fit(data, spec, compute_hessian=False)
+        sel = fit(data, spec)
         assert sel.params.beta[0] < 0  # the monotonicity claim needs this
 
         scenario = Scenario.from_dict({
@@ -476,8 +476,7 @@ def test_policy_sweep_conservation_and_targeting_oracle():
         drop = tolled[0] - tolled[-1]
 
         # greedy targeting equals an exhaustive per-individual recomputation
-        truth = fit(data, spec_for("uneven_logit", columns=("fare", "time")),
-                    compute_hessian=False)
+        truth = fit(data, spec_for("uneven_logit", columns=("fare", "time")))
         rng = np.random.default_rng(4)
         checked = 0
         for _ in range(6):

@@ -7,6 +7,7 @@ problems, 4 for estimation failures, and byte-identical outputs when inputs
 and seed are unchanged.
 """
 
+import argparse
 import csv
 import json
 
@@ -14,7 +15,7 @@ import numpy as np
 import pytest
 
 import flexlogit
-from flexlogit.cli import main
+from flexlogit.cli import build_parser, main
 from flexlogit.data import load_csv, write_csv
 from flexlogit.inference import chi2_sf
 
@@ -75,6 +76,63 @@ def test_missing_required_argument_exits_2():
     with pytest.raises(SystemExit) as exc:
         main(["estimate", "--out", "x"])
     assert exc.value.code == 2
+
+
+DATA_FLAGS = {"--data", "--schema", "--options", "--seed", "--weights"}
+CLI_SURFACE = {
+    "estimate": DATA_FLAGS | {"--threads", "--spec", "--out", "--bootstrap"},
+    "lrtest": DATA_FLAGS | {"--full", "--restricted", "--df", "--out"},
+    "bootstrap": DATA_FLAGS | {"--threads", "--spec", "--out", "--B",
+                               "--unstratified"},
+    "crossval": DATA_FLAGS | {"--threads", "--spec", "--k", "--out"},
+    "simulate": {"--config", "--out", "--seed"},
+    "policy-sweep": DATA_FLAGS | {"--spec", "--scenario", "--params", "--out"},
+    "policy-target": DATA_FLAGS | {
+        "--selection-spec", "--truth-spec", "--target-alt", "--cost-column",
+        "--related-alts", "--budgets", "--multiplier", "--skip-unaffordable",
+        "--out"},
+}
+
+
+def test_cli_surface_is_pinned():
+    # every flag a subcommand declares is one it reads; a new flag must be
+    # added to this table on purpose
+    sub, = [a for a in build_parser()._actions
+            if isinstance(a, argparse._SubParsersAction)]
+    surface = {
+        name: {o for a in sp._actions if not isinstance(a, argparse._HelpAction)
+               for o in a.option_strings}
+        for name, sp in sub.choices.items()
+    }
+    assert surface == CLI_SURFACE
+
+
+@pytest.mark.parametrize("command,flag", [
+    ("lrtest", "--threads"), ("policy-sweep", "--threads"),
+    ("policy-target", "--threads"), ("simulate", "--options"),
+    ("simulate", "--threads"), ("simulate", "--weights"),
+])
+def test_unread_flag_exits_2(ws, target_ws, tmp_path, capsys, command, flag):
+    cfg = tmp_path / "sim.json"
+    cfg.write_text(json.dumps(SIM_CONFIG))
+    spec, tspec = str(ws / "mnl.json"), str(target_ws / "mnl.json")
+    out = ["--out", str(tmp_path / "o")]
+    valid = {
+        "lrtest": [*base(ws), "--full", spec,
+                   "--restricted", str(ws / "time_only.json")],
+        "policy-sweep": [*base(ws), "--spec", spec,
+                         "--scenario", str(ws / "scenario.json"), *out],
+        "policy-target": ["--data", str(target_ws / "data.csv"),
+                          "--selection-spec", tspec, "--truth-spec", tspec,
+                          "--target-alt", "1", "--cost-column", "cost",
+                          "--budgets", "15", "--multiplier", "1.0", *out],
+        "simulate": ["--config", str(cfg), *out],
+    }[command]
+    value = [] if flag == "--weights" else ["1"]
+    with pytest.raises(SystemExit) as exc:
+        main([command, *valid, flag, *value])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------
@@ -140,6 +198,14 @@ def test_estimate_with_bootstrap_adds_interval_columns(ws, tmp_path):
         expected = ("**" if lo99 > 0 or hi99 < 0
                     else "*" if lo95 > 0 or hi95 < 0 else "")
         assert r["stars"] == expected
+
+
+def test_estimate_bootstrap_table_equals_bootstrap_command(ws, tmp_path):
+    est, boot = tmp_path / "est", tmp_path / "boot"
+    common = [*base(ws), "--spec", str(ws / "mnl.json"), "--seed", "3"]
+    assert main(["estimate", *common, "--bootstrap", "8", "--out", str(est)]) == 0
+    assert main(["bootstrap", *common, "--B", "8", "--out", str(boot)]) == 0
+    assert (est / "params.csv").read_bytes() == (boot / "intervals.csv").read_bytes()
 
 
 # ---------------------------------------------------------------------------
@@ -381,6 +447,27 @@ def test_policy_target_unaffordable_budget_is_config_error(target_ws, tmp_path, 
     assert "configuration error" in capsys.readouterr().err
 
 
+def test_cli_fits_compute_no_hessian(ws, target_ws, tmp_path, monkeypatch):
+    def boom(*args, **kwargs):
+        raise AssertionError("fd_hessian called")
+
+    monkeypatch.setattr("flexlogit.estimation.fd_hessian", boom)
+    spec = str(ws / "mnl.json")
+    assert main(["estimate", *base(ws), "--spec", spec, "--bootstrap", "3",
+                 "--out", str(tmp_path / "est")]) == 0
+    assert main(["lrtest", *base(ws), "--full", spec,
+                 "--restricted", str(ws / "time_only.json")]) == 0
+    assert main(["policy-sweep", *base(ws), "--spec", spec,
+                 "--scenario", str(ws / "scenario.json"),
+                 "--out", str(tmp_path / "sweep")]) == 0
+    tspec = str(target_ws / "mnl.json")
+    assert main(["policy-target", "--data", str(target_ws / "data.csv"),
+                 "--selection-spec", tspec, "--truth-spec", tspec,
+                 "--target-alt", "1", "--cost-column", "cost",
+                 "--budgets", "15", "--multiplier", "1.0",
+                 "--out", str(tmp_path / "tgt")]) == 0
+
+
 # ---------------------------------------------------------------------------
 # exit codes
 # ---------------------------------------------------------------------------
@@ -419,6 +506,26 @@ def test_missing_data_file_exits_2(ws, tmp_path, capsys):
                "--spec", str(ws / "mnl.json"), "--out", str(tmp_path / "o")])
     assert rc == 2
     assert "configuration error" in capsys.readouterr().err
+
+
+def test_more_folds_than_observations_exits_2(ws, tmp_path, capsys):
+    data = tmp_path / "ten.csv"
+    write_csv(toy_dataset(n_obs=10, seed=3), data)
+    rc = main(["crossval", "--data", str(data), "--spec", str(ws / "mnl.json"),
+               "--k", "50", "--out", str(tmp_path / "o")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "configuration error" in err and "k=50 folds" in err
+
+
+def test_header_only_csv_exits_3(ws, tmp_path, capsys):
+    empty = tmp_path / "empty.csv"
+    empty.write_text("obs_id,alt_id,chosen,time,cost\n")
+    rc = main(["estimate", "--data", str(empty), "--spec", str(ws / "mnl.json"),
+               "--out", str(tmp_path / "o")])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert "data error" in err and "dataset has no rows" in err
 
 
 def test_spec_column_missing_from_data_exits_3(ws, tmp_path, capsys):

@@ -1,6 +1,9 @@
+import inspect
+
 import numpy as np
 import pytest
 
+import flexlogit
 from flexlogit.data import ChoiceDataset
 from flexlogit.errors import DegenerateSharesWarning, NonFiniteObjectiveAtInit
 from flexlogit.estimation import FitOptions, default_init, fd_hessian, fit
@@ -95,7 +98,7 @@ def test_fit_mnl_converges(mnl_sim_small):
 def test_fit_hessian_is_concave_maximum(mnl_sim_small):
     data, spec, _ = mnl_sim_small
     res = fit(data, spec)
-    H = res.hessian
+    H = fd_hessian(data, spec, res.params)
     np.testing.assert_allclose(H, H.T, atol=1e-12)
     assert np.all(np.linalg.eigvalsh(H) < 0)
     # quadratic model sanity: LL(x + d) - LL(x) ~ g.d + d.H.d / 2
@@ -107,10 +110,28 @@ def test_fit_hessian_is_concave_maximum(mnl_sim_small):
     assert lhs == pytest.approx(quad, abs=5e-2 * abs(quad) + 1e-8)
 
 
+def test_fit_computes_no_hessian(mnl_sim_small, monkeypatch):
+    def boom(*args, **kwargs):
+        raise AssertionError("fd_hessian called")
+
+    monkeypatch.setattr("flexlogit.estimation.fd_hessian", boom)
+    data, spec, _ = mnl_sim_small
+    assert fit(data, spec).converged
+    # the Newton stage differences the score on its own
+    res = fit(data, spec, options=FitOptions(max_iter=1, tol_grad=1e-14))
+    assert res.optimizer_used == "bfgs+newton+ascent"
+    assert not hasattr(res, "hessian")
+    assert list(inspect.signature(fit).parameters) == ["data", "spec", "init", "options"]
+
+
+def test_fd_hessian_is_exported():
+    assert flexlogit.fd_hessian is fd_hessian
+
+
 def test_refit_from_optimum_is_immediate(mnl_sim_small):
     data, spec, _ = mnl_sim_small
     res = fit(data, spec)
-    again = fit(data, spec, init=res.packed, compute_hessian=False)
+    again = fit(data, spec, init=res.packed)
     assert again.converged
     assert again.iterations <= 2
     assert again.ll == pytest.approx(res.ll, abs=1e-10)
@@ -118,7 +139,7 @@ def test_refit_from_optimum_is_immediate(mnl_sim_small):
 
 def test_fit_accepts_natural_init(mnl_sim_small):
     data, spec, true = mnl_sim_small
-    res = fit(data, spec, init=true, compute_hessian=False)
+    res = fit(data, spec, init=true)
     assert res.converged
     with pytest.raises(ValueError):
         fit(data, spec, init=np.zeros(3))
@@ -126,7 +147,7 @@ def test_fit_accepts_natural_init(mnl_sim_small):
 
 def test_fit_scobit_dominates_truth(scobit_sim_small):
     data, spec, true = scobit_sim_small
-    res = fit(data, spec, compute_hessian=False)
+    res = fit(data, spec)
     assert res.converged
     assert res.ll >= log_likelihood(data, spec, true) - 1e-6
     np.testing.assert_allclose(res.params.beta, true.beta, atol=0.35)
@@ -142,10 +163,10 @@ def test_nonfinite_at_init_raises():
 def test_multistart_deterministic(mnl_sim_small):
     data, spec, _ = mnl_sim_small
     opts = FitOptions(multistart=3, seed=123)
-    r1 = fit(data, spec, options=opts, compute_hessian=False)
-    r2 = fit(data, spec, options=opts, compute_hessian=False)
+    r1 = fit(data, spec, options=opts)
+    r2 = fit(data, spec, options=opts)
     np.testing.assert_array_equal(r1.packed, r2.packed)
-    single = fit(data, spec, compute_hessian=False)
+    single = fit(data, spec)
     assert r1.ll >= single.ll - 1e-8
 
 
@@ -153,19 +174,15 @@ def test_weighted_fit_equals_duplicated_rows():
     d = toy_dataset(n_obs=30, seed=13, weights=np.full(30, 2.0))
     spec = mnl_spec()
     dup = d.resample(np.repeat(d.unique_obs(), 2))
-    res_w = fit(d, spec, options=FitOptions(use_weights=True), compute_hessian=False)
-    res_d = fit(dup, spec, compute_hessian=False)
+    res_w = fit(d, spec, options=FitOptions(use_weights=True))
+    res_d = fit(dup, spec)
     assert res_w.ll == pytest.approx(res_d.ll, rel=1e-9)
     np.testing.assert_allclose(res_w.packed, res_d.packed, atol=1e-5)
 
 
 def test_budget_exhaustion_reports_max_iters(mnl_sim_small):
     data, spec, _ = mnl_sim_small
-    res = fit(
-        data, spec,
-        options=FitOptions(max_iter=1, tol_grad=1e-14),
-        compute_hessian=False,
-    )
+    res = fit(data, spec, options=FitOptions(max_iter=1, tol_grad=1e-14))
     assert res.status == "max_iters"
     assert res.optimizer_used == "bfgs+newton+ascent"
     assert res.iterations == 3

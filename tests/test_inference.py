@@ -53,10 +53,8 @@ def test_lr_test_negative_slack():
 
 def test_lr_test_accepts_results(mnl_sim_small):
     data, spec, _ = mnl_sim_small
-    full = fit(data, spec, compute_hessian=False)
-    restricted = fit(
-        data, mnl_spec(columns=("time",)), compute_hessian=False
-    )
+    full = fit(data, spec)
+    restricted = fit(data, mnl_spec(columns=("time",)))
     r = lr_test(full, restricted, df=1)
     assert r.stat >= 0.0
     assert r.p_value == pytest.approx(chi2_sf(r.stat, 1), rel=1e-12)
@@ -147,12 +145,12 @@ def test_gathered_refits_equal_rebuilt_datasets(transform):
     spec = spec_for(transform)
     opts = FitOptions(use_weights=True)
     design = build_design(d, spec)
-    x_hat = fit(design, spec, options=opts, compute_hessian=False).packed
+    x_hat = fit(design, spec, options=opts).packed
     uniq = d.unique_obs()
 
     def same_fit(gathered, rebuilt, init):
-        a = fit(gathered, spec, init=init, options=opts, compute_hessian=False)
-        b = fit(rebuilt, spec, init=init, options=opts, compute_hessian=False)
+        a = fit(gathered, spec, init=init, options=opts)
+        b = fit(rebuilt, spec, init=init, options=opts)
         assert np.array_equal(a.packed, b.packed)
         assert a.ll == b.ll and a.ll_by_alt == b.ll_by_alt
 
@@ -247,7 +245,7 @@ def test_bootstrap_bca_end_to_end():
     d = toy_dataset(n_obs=30, seed=31)
     spec = mnl_spec()
     run = bootstrap(d, spec, B=19, seed=2)
-    point = fit(d, spec, compute_hessian=False).packed
+    point = fit(d, spec).packed
     ci = bca_interval(run, point)
     assert ci.shape == (4, 2)
     assert np.all(np.isfinite(ci))

@@ -227,13 +227,13 @@ def targeting_fixture():
         seed=33,
     )
     data = simulate(cfg)
-    selection = fit(data, spec, compute_hessian=False)
+    selection = fit(data, spec)
     truth_spec = ModelSpec(
         "uneven_logit",
         ref_alt=3,
         coefficients=(Coefficient("fare", "fare"), Coefficient("time", "time")),
     )
-    truth = fit(data, truth_spec, compute_hessian=False)
+    truth = fit(data, truth_spec)
     problem = TargetingProblem(
         data=data,
         selection_model=selection,

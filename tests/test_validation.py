@@ -121,8 +121,7 @@ def test_cross_validate_equals_subset_oracle():
     for row in rep.rows:
         spec = specs[row["spec"]]
         test_ids = rep.plan.fold_obs(row["fold"])
-        res = fit(d.subset(np.setdiff1d(uniq, test_ids)), spec,
-                  compute_hessian=False)
+        res = fit(d.subset(np.setdiff1d(uniq, test_ids)), spec)
         test_ll, _ = ll_with_design(
             build_design(d.subset(test_ids), spec), spec, res.params
         )
