@@ -94,12 +94,13 @@ def main(argv=None) -> int:
     )
     print(f"{'budget':>8}{'selected':>10}{'spend':>10}{'truth gain':>12}"
           f"{'per unit gain':>15}")
-    for budget in (float(b) for b in args.budgets.split(",")):
-        rep = select_targets(problem, budget)
+    budgets = [float(b) for b in args.budgets.split(",")]
+    reports = select_targets(problem, budgets)
+    for budget, rep in zip(budgets, reports):
         print(f"{budget:8.0f}{len(rep.selected_obs):>10}{rep.total_cost:10.2f}"
               f"{rep.total_gain_truth:12.4f}{rep.efficiency:15.2f}")
 
-    rep = select_targets(problem, float(args.budgets.split(",")[-1]))
+    rep = reports[-1]
     print("\ntop five under the largest budget")
     print(f"{'obs':>6}{'cost':>8}{'gain sel':>10}{'gain truth':>12}")
     for r in range(5):

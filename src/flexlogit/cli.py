@@ -146,7 +146,6 @@ def cmd_estimate(args) -> int:
     spec = ModelSpec.from_json(args.spec)
     opts = _load_options(args)
     out = _out_dir(args)
-    res = fit(data, spec, options=opts)
     outputs = ["params.csv", "ll_by_alt.csv"]
 
     if args.bootstrap:
@@ -154,8 +153,10 @@ def cmd_estimate(args) -> int:
             data, spec, B=args.bootstrap, seed=args.seed or 0,
             options=opts, threads=args.threads,
         )
+        res = run.full
         stars = _write_intervals(out / "params.csv", res, run)
     else:
+        res = fit(data, spec, options=opts)
         stars = None
         _write_table(out / "params.csv", ["parameter", "estimate"],
                      [[n, float(res.packed[m])] for m, n in enumerate(res.param_names)])
@@ -176,9 +177,7 @@ def cmd_lrtest(args) -> int:
     opts = _load_options(args)
     full = fit(data, full_spec, options=opts)
     restr = fit(data, restr_spec, options=opts)
-    pk_full = Packing(full_spec, data.alternatives)
-    pk_restr = Packing(restr_spec, data.alternatives)
-    df = args.df if args.df is not None else pk_full.dim - pk_restr.dim
+    df = args.df if args.df is not None else len(full.packed) - len(restr.packed)
     res = lr_test(full, restr, df)
     print(f"LR stat {res.stat:.6f}  df {res.df}  p-value {res.p_value:.6g}")
     if args.out:
@@ -194,11 +193,11 @@ def cmd_bootstrap(args) -> int:
     spec = ModelSpec.from_json(args.spec)
     opts = _load_options(args)
     out = _out_dir(args)
-    res = fit(data, spec, options=opts)
     run = bootstrap(
         data, spec, B=args.B, seed=args.seed or 0,
         stratified=not args.unstratified, options=opts, threads=args.threads,
     )
+    res = run.full
     stars = _write_intervals(out / "intervals.csv", res, run)
     _write_manifest(out, "bootstrap", vars(args) | {"failures": run.failures},
                     ["intervals.csv"])
@@ -328,8 +327,8 @@ def cmd_policy_target(args) -> int:
     )
     out = _out_dir(args)
     rows = []
-    for budget in args.budgets:
-        report = select_targets(problem, budget, args.skip_unaffordable)
+    reports = select_targets(problem, args.budgets, args.skip_unaffordable)
+    for budget, report in zip(args.budgets, reports):
         chosen = set(int(o) for o in report.selected_obs)
         for rank, o in enumerate(report.ranked_obs):
             rows.append([budget, int(o), rank,

@@ -24,8 +24,10 @@ package.
 from __future__ import annotations
 
 import json
+import math
 import warnings
 from dataclasses import dataclass, field
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -67,6 +69,22 @@ class FitOptions:
     multistart_scale: float = 0.5
     seed: int = 0
     use_weights: bool = False
+
+    def __post_init__(self):
+        def check(name, kind, ok, rule):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, kind) or not ok(value):
+                raise ValueError(f"fit option {name} must be {rule}, got {value!r}")
+
+        check("tol_grad", Real, lambda v: math.isfinite(v) and v > 0, "finite and > 0")
+        check("tol_ll", Real, lambda v: v >= 0, ">= 0")
+        check("max_iter", Integral, lambda v: v >= 0, "an integer >= 0")
+        check("multistart", Integral, lambda v: v >= 0, "an integer >= 0")
+        check("multistart_scale", Real, lambda v: v >= 0, ">= 0")
+        check("seed", Integral, lambda v: True, "an integer")
+        if not isinstance(self.use_weights, bool):
+            raise ValueError(f"fit option use_weights must be true or false, "
+                             f"got {self.use_weights!r}")
 
     @classmethod
     def from_dict(cls, d: dict) -> "FitOptions":

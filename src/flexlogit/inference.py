@@ -8,10 +8,11 @@ observed per-alternative choice counts, and refits the model on each
 replicate warm-started from the full-sample estimate. The data is compiled
 once: each replicate and each leave-one-out jackknife sample is a row gather
 (``Design.take``) of that one design, so every refit keeps the full
-alternative set and the packed layout of the full-sample fit. Intervals come
-from the bias-corrected and accelerated (BCa) construction: the bias correction
-z0 is read off the share of replicates below the point estimate (ties count
-half) and the acceleration is the standard jackknife skewness ratio.
+alternative set and the packed layout of the full-sample fit, which the run
+returns as ``BootstrapRun.full``. Intervals come from the bias-corrected and
+accelerated (BCa) construction: the bias correction z0 is read off the share
+of replicates below the point estimate (ties count half) and the acceleration
+is the standard jackknife skewness ratio.
 """
 
 from __future__ import annotations
@@ -91,6 +92,7 @@ class BootstrapRun:
     ``replicate_estimates`` is (B, dim); ``jackknife_estimates`` is
     (n_obs, dim) leave-one-out estimates. ``failures`` counts replicates whose
     refit did not converge (their best-found points are still recorded).
+    ``full`` is the full-sample fit the refits start from.
     """
 
     replicate_estimates: np.ndarray
@@ -98,7 +100,7 @@ class BootstrapRun:
     seed: int
     stratified: bool
     failures: int = 0
-    param_names: tuple[str, ...] = ()
+    full: EstimationResult | None = None
 
     @property
     def n_replicates(self) -> int:
@@ -137,6 +139,8 @@ def bootstrap(
     """
     from .parallel import parallel_map
 
+    if B < 1:
+        raise ValueError("B must be at least 1")
     opts = options or FitOptions()
     design = build_design(data, spec)
     full = fit(design, spec, options=opts)
@@ -169,7 +173,7 @@ def bootstrap(
         seed=seed,
         stratified=stratified,
         failures=failures,
-        param_names=tuple(full.param_names),
+        full=full,
     )
 
 
@@ -241,11 +245,3 @@ def bca_interval(
         out[m, 1] = np.quantile(r, adj(z_hi))
     return out
 
-
-def percentile_interval(run: BootstrapRun, level: float = 0.95) -> np.ndarray:
-    """Simple percentile endpoints, for comparison against BCa."""
-    reps = np.asarray(run.replicate_estimates, dtype=float)
-    alpha = (1.0 - level) / 2.0
-    return np.column_stack(
-        [np.quantile(reps, alpha, axis=0), np.quantile(reps, 1.0 - alpha, axis=0)]
-    )

@@ -9,8 +9,8 @@ input dataset; ``apply_scenario`` returns an edited copy.
 
 ``enumerate_shares`` aggregates predicted probabilities into expected
 per-alternative counts E[N_j] = sum_i w_i P_ij, and ``sweep`` repeats that
-over a grid of the scenario's sweep parameter, compiling the data once: each
-point recomputes only the design matrix X from edited covariates.
+over a grid of the scenario's sweep parameter, compiling the data and finding
+the row masks once: each point recomputes only the edited covariates and X.
 
 ``select_targets`` ranks individuals for an incentive (a fare subsidy whose
 cost is borne per selected individual) by predicted probability gain per
@@ -186,19 +186,24 @@ def apply_scenario(
     return data.with_covariates(_edited_covariates(data, scenario, values))
 
 
-def _edited_covariates(data: ChoiceDataset, scenario: Scenario, values) -> np.ndarray:
+def _edit_targets(data: ChoiceDataset, scenario: Scenario) -> list:
+    """(edit, column index, row mask) of every edit. Masks and conditions read
+    the unedited data, so none of these depends on the swept value."""
+    for edit in scenario.edits:
+        if edit.column not in data.columns:
+            raise MissingColumn(f"edit targets unknown column {edit.column!r}")
+    return [(e, data.columns.index(e.column), e.row_mask(data)) for e in scenario.edits]
+
+
+def _edited_covariates(data: ChoiceDataset, scenario: Scenario, values,
+                       targets=None) -> np.ndarray:
     values = dict(values or {})
     if scenario.sweep_parameter and scenario.sweep_parameter not in values:
         raise SpecError(
             f"scenario sweeps {scenario.sweep_parameter!r}; pass its value"
         )
     cov = np.array(data.covariates)
-    for edit in scenario.edits:
-        try:
-            j = data.columns.index(edit.column)
-        except ValueError:
-            raise MissingColumn(f"edit targets unknown column {edit.column!r}") from None
-        mask = edit.row_mask(data)
+    for edit, j, mask in _edit_targets(data, scenario) if targets is None else targets:
         amount = edit.amount.evaluate(data, values)[mask]
         if edit.op == "add":
             cov[mask, j] += amount
@@ -222,16 +227,16 @@ def _probabilities_at(data, design, spec, params, cov) -> np.ndarray:
     )
 
 
-def _shares_at(data, design, spec, params, scenario, values):
-    cov = _edited_covariates(data, scenario, values) if scenario else data.covariates
-    P = _probabilities_at(data, design, spec, params, cov)
+def _share_tables(data, design, spec, params, scenario, points, targets=None):
+    """Yields {alt: (expected count, share)} at each values dict in ``points``;
+    the per-alternative rows and the total weight are found once."""
     total = float(np.sum(data.obs_weights()))
-    out = {}
-    for a in data.alternatives:
-        mask = data.alt_ids == a
-        count = float(np.sum(data.weights[mask] * P[mask]))
-        out[int(a)] = (count, count / total)
-    return out
+    masks = [(int(a), data.alt_ids == a) for a in data.alternatives]
+    for values in points:
+        cov = _edited_covariates(data, scenario, values, targets) if scenario else data.covariates
+        P = _probabilities_at(data, design, spec, params, cov)
+        counts = {a: float(np.sum(data.weights[m] * P[m])) for a, m in masks}
+        yield {a: (c, c / total) for a, c in counts.items()}
 
 
 def enumerate_shares(
@@ -247,7 +252,7 @@ def enumerate_shares(
     the total observation weight, the shares to one.
     """
     validate_params(spec, params, data.alternatives)
-    return _shares_at(data, build_design(data, spec), spec, params, scenario, values)
+    return next(_share_tables(data, build_design(data, spec), spec, params, scenario, [values]))
 
 
 def sweep(
@@ -261,12 +266,11 @@ def sweep(
         raise SpecError("scenario has no sweep parameter")
     validate_params(spec, params, data.alternatives)
     design = build_design(data, spec)
-    return [
-        {"value": float(value), "by_alt": _shares_at(
-            data, design, spec, params, scenario, {scenario.sweep_parameter: value}
-        )}
-        for value in scenario.sweep_grid
-    ]
+    grid = scenario.sweep_grid
+    tables = _share_tables(data, design, spec, params, scenario,
+                           [{scenario.sweep_parameter: v} for v in grid],
+                           _edit_targets(data, scenario))
+    return [{"value": float(v), "by_alt": t} for v, t in zip(grid, tables)]
 
 
 # -- targeting ---------------------------------------------------------------
@@ -313,14 +317,13 @@ class SelectionReport:
         return self.total_cost / self.total_gain_truth
 
 
-def _pass_edited(problem: TargetingProblem, row_obs: np.ndarray) -> np.ndarray:
+def _pass_edited(problem: TargetingProblem, row_obs, target_rows) -> np.ndarray:
     data = problem.data
     j = data.columns.index(problem.cost_column) if problem.cost_column in data.columns else None
     if j is None:
         raise MissingColumn(f"no cost column {problem.cost_column!r}")
     cov = np.array(data.covariates)
     col = cov[:, j]
-    target_rows = data.alt_ids == problem.target_alt
     # fare of the target alternative, broadcast to the observation's rows
     fare_by_obs = np.zeros(data.n_obs)
     fare_by_obs[row_obs[target_rows]] = col[target_rows]
@@ -334,25 +337,25 @@ def _pass_edited(problem: TargetingProblem, row_obs: np.ndarray) -> np.ndarray:
 
 def select_targets(
     problem: TargetingProblem,
-    budget: float,
+    budgets,
     skip_unaffordable: bool = False,
-) -> SelectionReport:
-    """Greedy prefix selection by predicted gain per dollar.
+) -> list[SelectionReport]:
+    """Greedy prefix selection by predicted gain per dollar, for each budget.
 
-    Individuals are ranked by (selection-model probability gain) / (pass
-    cost), descending, ties broken by ascending observation id. Selection
-    walks the ranking and stops at the first individual whose cost would
-    exceed the remaining budget; with ``skip_unaffordable`` it instead skips
-    them and keeps walking. Raises ``EmptySelection`` when not even the first
-    ranked individual is affordable.
+    Individuals are ranked once by (selection-model probability gain) / (pass
+    cost), descending, ties broken by ascending observation id; the reports
+    share the ranked arrays. For each budget, in order, selection walks the
+    ranking and stops at the first individual whose cost would exceed the
+    remaining budget; with ``skip_unaffordable`` it instead skips them and
+    keeps walking. Raises ``EmptySelection`` if a budget affords no one.
     """
     data = problem.data
     models = (problem.selection_model, problem.truth_model)
     for m in models:
         validate_params(m.spec, m.params, data.alternatives)
     designs = [build_design(data, m.spec) for m in models]
-    cov = _pass_edited(problem, designs[0].row_obs)
     target_rows = data.alt_ids == problem.target_alt
+    cov = _pass_edited(problem, designs[0].row_obs, target_rows)
     gain, gain_truth = (
         _probabilities_at(data, d, m.spec, m.params, cov)[target_rows]
         - _probabilities_at(data, d, m.spec, m.params, data.covariates)[target_rows]
@@ -364,30 +367,33 @@ def select_targets(
     ratio = np.where(cost > 0, gain / np.where(cost > 0, cost, 1.0),
                      np.where(gain > 0, np.inf, 0.0))
     order = np.lexsort((obs, -ratio))
+    obs, gain, gain_truth, cost = (a[order] for a in (obs, gain, gain_truth, cost))
 
-    selected, skipped, spent = [], 0, 0.0
-    for i in order:
-        c = float(cost[i])
-        if spent + c <= budget:
-            selected.append(i)
-            spent += c
-        elif skip_unaffordable:
-            skipped += 1
-        else:
-            break
-    if not selected:
-        raise EmptySelection(
-            f"budget {budget} cannot afford even the top-ranked individual"
-        )
-    sel = np.array(selected, dtype=np.int64)
-    return SelectionReport(
-        budget=float(budget),
-        selected_obs=obs[sel],
-        ranked_obs=obs[order],
-        gain_selection=gain[order],
-        gain_truth=gain_truth[order],
-        costs=cost[order],
-        total_cost=float(spent),
-        total_gain_truth=float(np.sum(gain_truth[sel])),
-        skipped=skipped,
-    )
+    reports = []
+    for budget in budgets:
+        selected, skipped, spent = [], 0, 0.0
+        for r, c in enumerate(cost.tolist()):
+            if spent + c <= budget:
+                selected.append(r)
+                spent += c
+            elif skip_unaffordable:
+                skipped += 1
+            else:
+                break
+        if not selected:
+            raise EmptySelection(
+                f"budget {budget} cannot afford even the top-ranked individual"
+            )
+        sel = np.array(selected, dtype=np.int64)
+        reports.append(SelectionReport(
+            budget=float(budget),
+            selected_obs=obs[sel],
+            ranked_obs=obs,
+            gain_selection=gain,
+            gain_truth=gain_truth,
+            costs=cost,
+            total_cost=float(spent),
+            total_gain_truth=float(np.sum(gain_truth[sel])),
+            skipped=skipped,
+        ))
+    return reports

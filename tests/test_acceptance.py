@@ -22,7 +22,7 @@ from flexlogit.data import (
     simulate,
 )
 from flexlogit.estimation import FitOptions, fit
-from flexlogit.inference import BootstrapRun, bca_interval, percentile_interval
+from flexlogit.inference import BootstrapRun, bca_interval
 from flexlogit.likelihood import (
     NaturalParams,
     Packing,
@@ -46,6 +46,7 @@ from flexlogit.transforms import (
 from flexlogit.validation import cross_validate, make_folds
 
 from conftest import mnl_spec, packed_fd_gradient, spec_for, toy_dataset
+from interval_oracle import percentile_interval
 
 ALL_FAMILIES = CORE_FAMILY_NAMES + RESTRICTED_FAMILY_NAMES
 
@@ -493,7 +494,7 @@ def test_policy_sweep_conservation_and_targeting_oracle():
                 small, sel, truth, math.inf, 22.0)
             first_cost = per0[ranking[0]][2]  # the budget gate is the top rank
             for budget in (first_cost * 1.05, 0.45 * total, 1.1 * total):
-                rep = select_targets(problem, budget)
+                rep = select_targets(problem, [budget])[0]
                 ranked, selected, spent, gain, eff, per = _oracle_targeting(
                     small, sel, truth, budget, 22.0)
                 assert list(map(int, rep.ranked_obs)) == ranked
@@ -519,7 +520,7 @@ def test_policy_sweep_conservation_and_targeting_oracle():
                                cost_multiplier=22.0)
         prev = set()
         for budget in (60.0, 200.0, 600.0, 1500.0, 4000.0):
-            now = set(int(o) for o in select_targets(big, budget).selected_obs)
+            now = set(int(o) for o in select_targets(big, [budget])[0].selected_obs)
             assert prev <= now, budget
             prev = now
         info["detail"] = (f"11-point sweep conserves weight to 1e-9, tolled "

@@ -15,9 +15,11 @@ import numpy as np
 import pytest
 
 import flexlogit
+from flexlogit import cli, inference
 from flexlogit.cli import build_parser, main
-from flexlogit.data import load_csv, write_csv
+from flexlogit.data import SchemaMapping, load_csv, write_csv
 from flexlogit.inference import chi2_sf
+from flexlogit.likelihood import Design, ModelSpec, build_design
 
 from conftest import toy_dataset
 
@@ -208,6 +210,39 @@ def test_estimate_bootstrap_table_equals_bootstrap_command(ws, tmp_path):
     assert (est / "params.csv").read_bytes() == (boot / "intervals.csv").read_bytes()
 
 
+def test_bootstrap_commands_fit_the_full_sample_once(ws, tmp_path, monkeypatch):
+    spec = ModelSpec.from_json(ws / "mnl.json")
+    data = load_csv(ws / "data.csv", SchemaMapping.from_dict({"weight": "weight"}))
+    full_X = build_design(data, spec).X
+    full_fits = []
+
+    def counting(real):
+        def wrapper(sample, spec, *args, **kwargs):
+            X = sample.X if isinstance(sample, Design) else build_design(sample, spec).X
+            if X.shape == full_X.shape and np.array_equal(X, full_X):
+                full_fits.append(sample)
+            return real(sample, spec, *args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(cli, "fit", counting(cli.fit))
+    monkeypatch.setattr(inference, "fit", counting(inference.fit))
+    common = [*base(ws), "--spec", str(ws / "mnl.json"), "--seed", "3"]
+    plain, est, boot = tmp_path / "plain", tmp_path / "est", tmp_path / "boot"
+    assert main(["estimate", *common, "--out", str(plain)]) == 0
+    assert len(full_fits) == 1
+    assert main(["estimate", *common, "--bootstrap", "3", "--out", str(est)]) == 0
+    assert len(full_fits) == 2
+    assert main(["bootstrap", *common, "--B", "3", "--out", str(boot)]) == 0
+    assert len(full_fits) == 3
+    assert (est / "params.csv").read_bytes() == (boot / "intervals.csv").read_bytes()
+    # the bootstrap's full-sample fit is the one a plain estimate makes
+    assert (est / "ll_by_alt.csv").read_bytes() == (plain / "ll_by_alt.csv").read_bytes()
+    point = lambda out, name: [(r["parameter"], r["estimate"])
+                               for r in read_rows(out / name)]
+    assert point(est, "params.csv") == point(plain, "params.csv")
+
+
 # ---------------------------------------------------------------------------
 # lrtest
 # ---------------------------------------------------------------------------
@@ -255,6 +290,13 @@ def test_bootstrap_writes_intervals(ws, tmp_path, capsys):
     assert manifest["args"]["failures"] == 0
     assert manifest["seed"] == 5
     assert "8 replicates, 0 failures (stratified)" in capsys.readouterr().out
+
+
+def test_bootstrap_without_replicates_exits_2(ws, tmp_path, capsys):
+    rc = main(["bootstrap", *base(ws), "--spec", str(ws / "mnl.json"),
+               "--out", str(tmp_path / "boot"), "--B", "0"])
+    assert rc == 2
+    assert "configuration error: B must be at least 1" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------
@@ -499,6 +541,22 @@ def test_unknown_fit_option_exits_2(ws, tmp_path, capsys):
                "--spec", str(ws / "mnl.json"), "--out", str(tmp_path / "o")])
     assert rc == 2
     assert "bogus" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("options", [
+    {"tol_grad": "x"}, {"tol_grad": 0.0}, {"tol_grad": float("nan")},
+    {"tol_ll": -1e-9}, {"max_iter": 2.5}, {"max_iter": -3},
+    {"multistart": True}, {"multistart_scale": -0.5}, {"seed": "7"},
+    {"use_weights": 1},
+])
+def test_bad_fit_option_value_exits_2(ws, tmp_path, capsys, options):
+    opts = tmp_path / "opts.json"
+    opts.write_text(json.dumps(options))
+    rc = main(["estimate", *base(ws), "--options", str(opts),
+               "--spec", str(ws / "mnl.json"), "--out", str(tmp_path / "o")])
+    assert rc == 2
+    name, = options
+    assert f"configuration error: fit option {name} must be" in capsys.readouterr().err
 
 
 def test_missing_data_file_exits_2(ws, tmp_path, capsys):

@@ -14,13 +14,13 @@ from flexlogit.inference import (
     bootstrap,
     chi2_sf,
     lr_test,
-    percentile_interval,
     _resample_ids,
 )
 from flexlogit.likelihood import build_design
 from flexlogit.validation import cross_validate
 
 from conftest import mnl_spec, scobit_dataset, spec_for, toy_dataset
+from interval_oracle import percentile_interval
 
 ORACLE_FAMILIES = ("mnl", "scobit", "uneven_logit", "asym_logit")
 
@@ -93,10 +93,24 @@ def test_bootstrap_deterministic_across_threads():
     assert r1.n_replicates == 8
     assert r1.jackknife_estimates.shape == (25, 4)
     assert r1.failures == 0
-    assert r1.param_names == ("beta:time", "beta:cost", "tau:1", "tau:2")
+    assert r1.full.param_names == ["beta:time", "beta:cost", "tau:1", "tau:2"]
+    # the returned full-sample fit is the one a separate call makes
+    alone = fit(d, spec)
+    assert np.array_equal(r1.full.packed, alone.packed)
+    assert r1.full.ll_by_alt == alone.ll_by_alt
     # a different seed moves the replicates
     r3 = bootstrap(d, spec, B=8, seed=6, threads=1)
     assert not np.array_equal(r1.replicate_estimates, r3.replicate_estimates)
+
+
+def test_bootstrap_needs_a_replicate(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("B is checked before any fit")
+
+    monkeypatch.setattr("flexlogit.inference.fit", refuse)
+    for B in (0, -2):
+        with pytest.raises(ValueError, match="B must be at least 1"):
+            bootstrap(toy_dataset(n_obs=10), mnl_spec(), B=B)
 
 
 def test_bootstrap_too_many_failures():
@@ -122,9 +136,9 @@ def test_bootstrap_keeps_rare_alternative():
         columns=d.columns,
     )
     run = bootstrap(rare, mnl_spec(), B=5)
-    assert run.param_names == (
+    assert run.full.param_names == [
         "beta:time", "beta:cost", "tau:1", "tau:2", "tau:4"
-    )
+    ]
     assert run.replicate_estimates.shape == (5, 5)
     assert run.jackknife_estimates.shape == (60, 5)
     assert run.failures == 0

@@ -286,7 +286,7 @@ def reference_ranking(problem):
 def test_targeting_matches_reference_ranking(targeting_fixture):
     problem = targeting_fixture
     ref_order, ref_cost, _ = reference_ranking(problem)
-    rep = select_targets(problem, budget=1e9)
+    rep = select_targets(problem, [1e9])[0]
     assert rep.ranked_obs.tolist() == ref_order
     # generous budget selects everyone
     assert rep.selected_obs.tolist() == ref_order
@@ -295,9 +295,9 @@ def test_targeting_matches_reference_ranking(targeting_fixture):
 
 def test_targeting_greedy_prefix(targeting_fixture):
     problem = targeting_fixture
-    full = select_targets(problem, budget=1e9)
+    full = select_targets(problem, [1e9])[0]
     budget = float(np.cumsum(full.costs)[9])  # exactly ten passes
-    rep = select_targets(problem, budget=budget)
+    rep = select_targets(problem, [budget])[0]
     assert rep.selected_obs.tolist() == full.ranked_obs[:10].tolist()
     assert rep.total_cost <= budget + 1e-12
     assert rep.skipped == 0
@@ -309,7 +309,7 @@ def test_targeting_budget_monotone(targeting_fixture):
     problem = targeting_fixture
     prev = set()
     for budget in (60.0, 120.0, 400.0, 900.0):
-        rep = select_targets(problem, budget=budget)
+        rep = select_targets(problem, [budget])[0]
         got = set(rep.selected_obs.tolist())
         assert prev <= got
         prev = got
@@ -317,21 +317,21 @@ def test_targeting_budget_monotone(targeting_fixture):
 
 def test_targeting_skip_unaffordable(targeting_fixture):
     problem = targeting_fixture
-    full = select_targets(problem, budget=1e9)
+    full = select_targets(problem, [1e9])[0]
     costs = full.costs
     k = int(np.argmin(costs))
     assert k > 0, "fixture should not rank the cheapest pass first"
     budget = float(costs[k])
     with pytest.raises(EmptySelection):
-        select_targets(problem, budget=budget)
-    rep = select_targets(problem, budget=budget, skip_unaffordable=True)
+        select_targets(problem, [budget])
+    rep = select_targets(problem, [budget], skip_unaffordable=True)[0]
     assert full.ranked_obs[k] in rep.selected_obs
     assert rep.skipped >= 1
     assert rep.total_cost <= budget + 1e-12
 
 
 def test_targeting_efficiency(targeting_fixture):
-    rep = select_targets(targeting_fixture, budget=500.0)
+    rep = select_targets(targeting_fixture, [500.0])[0]
     sel_mask = np.isin(rep.ranked_obs, rep.selected_obs)
     want_gain = float(np.sum(rep.gain_truth[sel_mask]))
     assert rep.total_gain_truth == pytest.approx(want_gain, rel=1e-12)
@@ -357,7 +357,7 @@ def test_targeting_requires_cost_column(targeting_fixture):
         cost_column="price",
     )
     with pytest.raises(MissingColumn):
-        select_targets(bad, budget=100.0)
+        select_targets(bad, [100.0])
 
 
 def test_targeting_excludes_obs_without_target_alt(targeting_fixture):
@@ -382,7 +382,7 @@ def test_targeting_excludes_obs_without_target_alt(targeting_fixture):
         cost_column="fare",
         related_alts=(2,),
     )
-    rep = select_targets(prob2, budget=1e9)
+    rep = select_targets(prob2, [1e9])[0]
     assert 0 not in rep.ranked_obs
     assert rep.ranked_obs.shape[0] == trimmed.n_obs - 1
 
@@ -434,12 +434,15 @@ def test_compiled_policy_equals_rebuilt_datasets(targeting_fixture, which):
             assert enumerate_shares(data, m.spec, m.params, scenario, values) == (
                 policy_oracle.enumerate_shares(data, m.spec, m.params, scenario, values)
             )
-    for budget, skip in ((40.0, True), (300.0, False), (2000.0, True), (1e9, False)):
-        got = select_targets(problem, budget, skip)
-        want = policy_oracle.select_targets(problem, budget, skip)
-        for f in dataclasses.fields(SelectionReport):
-            a, b = getattr(got, f.name), getattr(want, f.name)
-            assert np.array_equal(a, b) and np.asarray(a).dtype == np.asarray(b).dtype, f.name
+    for budgets, skip in (([40.0, 2000.0], True), ([300.0, 1e9, 300.0], False)):
+        reports = select_targets(problem, budgets, skip)
+        assert len(reports) == len(budgets)
+        for budget, got in zip(budgets, reports):
+            want = policy_oracle.select_targets(problem, budget, skip)
+            for f in dataclasses.fields(SelectionReport):
+                a, b = getattr(got, f.name), getattr(want, f.name)
+                assert np.array_equal(a, b) and np.asarray(a).dtype == np.asarray(b).dtype, (
+                    budget, f.name)
 
 
 def test_policy_compiles_each_spec_once(monkeypatch, targeting_fixture):
@@ -455,13 +458,23 @@ def test_policy_compiles_each_spec_once(monkeypatch, targeting_fixture):
         return real(data, spec)
 
     monkeypatch.setattr(policy, "build_design", counting)
+    masks = []
+    real_mask = ScenarioEdit.row_mask
+
+    def counting_mask(self, data):
+        masks.append(self.op)
+        return real_mask(self, data)
+
+    monkeypatch.setattr(ScenarioEdit, "row_mask", counting_mask)
     problem = targeting_fixture
     m = problem.truth_model
     rows = sweep(problem.data, m.spec, m.params, toll_scenario())
     assert len(rows) == 4 and len(calls) == 1
+    assert masks == ["add", "multiply"]  # once per edit, not once per point
     calls.clear()
-    rep = select_targets(problem, budget=500.0)
-    assert rep.selected_obs.size > 0 and len(calls) <= 2
+    reports = select_targets(problem, [500.0, 2000.0, 8000.0])
+    assert [r.budget for r in reports] == [500.0, 2000.0, 8000.0]
+    assert reports[0].selected_obs.size > 0 and len(calls) == 2
 
 
 def test_scenario_may_make_generic_column_constant():
@@ -507,4 +520,4 @@ def test_non_finite_edit_raises_non_numeric_cell(targeting_fixture):
     cov[(data.obs_ids == 0) & (data.alt_ids == 2), j] = 1e308
     bad = dataclasses.replace(problem, data=data.with_covariates(cov))
     with np.errstate(over="ignore"), pytest.raises(NonNumericCell, match=msg):
-        select_targets(bad, budget=1e9)
+        select_targets(bad, [1e9])
