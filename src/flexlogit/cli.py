@@ -348,6 +348,17 @@ def cmd_policy_target(args) -> int:
     return 0
 
 
+def _seed_arg(text: str) -> int:
+    """``--seed``: numpy takes only non-negative integer seeds."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="flexlogit", description=__doc__)
     p.add_argument("--version", action="version", version=__version__)
@@ -357,7 +368,7 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--data", required=True, help="long-format CSV")
         sp.add_argument("--schema", help="JSON column mapping")
         sp.add_argument("--options", help="JSON fit options")
-        sp.add_argument("--seed", type=int, default=None)
+        sp.add_argument("--seed", type=_seed_arg, default=None)
         if threads:
             sp.add_argument("--threads", type=int, default=1)
         sp.add_argument("--weights", action="store_true",
@@ -399,7 +410,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("simulate", help="draw a synthetic dataset")
     sp.add_argument("--config", required=True, help="simulation JSON")
     sp.add_argument("--out", required=True)
-    sp.add_argument("--seed", type=int, default=None)
+    sp.add_argument("--seed", type=_seed_arg, default=None)
     sp.set_defaults(func=cmd_simulate)
 
     sp = sub.add_parser("policy-sweep", help="expected shares over a parameter grid")

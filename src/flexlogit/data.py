@@ -383,6 +383,8 @@ def simulate(config: SimulationConfig) -> ChoiceDataset:
 
     if config.n_obs < 1:
         raise ValueError("n_obs must be at least 1")
+    if config.seed < 0:
+        raise ValueError(f"simulation seed must be >= 0, got {config.seed}")
     alts = tuple(int(a) for a in config.alternatives)
     if len(alts) < 2:
         raise InvalidParams("need at least two alternatives")
@@ -410,7 +412,7 @@ def simulate(config: SimulationConfig) -> ChoiceDataset:
     )
     P = probabilities_from_design(
         config.spec, config.true_params, X, alt_index, alts,
-        obs_ptr=np.arange(0, n * J + 1, J),
+        obs_ptr=np.arange(0, n * J + 1, J), row_obs=np.repeat(np.arange(n), J),
     )
     cum = np.cumsum(P.reshape(n, J), axis=1)
     pick = np.sum(cum < u_choice[:, None], axis=1)

@@ -81,7 +81,7 @@ class FitOptions:
         check("max_iter", Integral, lambda v: v >= 0, "an integer >= 0")
         check("multistart", Integral, lambda v: v >= 0, "an integer >= 0")
         check("multistart_scale", Real, lambda v: v >= 0, ">= 0")
-        check("seed", Integral, lambda v: True, "an integer")
+        check("seed", Integral, lambda v: v >= 0, "an integer >= 0")
         if not isinstance(self.use_weights, bool):
             raise ValueError(f"fit option use_weights must be true or false, "
                              f"got {self.use_weights!r}")
@@ -122,6 +122,15 @@ class EstimationResult:
     @property
     def converged(self) -> bool:
         return self.status == "converged"
+
+
+@dataclass(frozen=True)
+class _WarmStart:
+    """A packed start point together with the inverse Hessian the BFGS stage
+    starts from in place of the identity; ``fit`` accepts it as ``init``."""
+
+    packed: np.ndarray
+    inv_hessian: np.ndarray
 
 
 def default_init(data: ChoiceDataset | Design, spec: ModelSpec) -> np.ndarray:
@@ -188,11 +197,14 @@ def _backtrack(f, x, fx, gx, d):
     return None
 
 
-def _stage_loop(direction_fn, update, f, g, x, fx, gx, opts):
-    """Shared iteration scaffold; returns (x, fx, gx, iters, status, path)."""
+def _stage_loop(direction_fn, update, f, g, x, fx, gx, opts, state):
+    """Shared iteration scaffold; returns (x, fx, gx, iters, status, path).
+
+    ``state`` is the stage's memory. BFGS keeps its inverse Hessian in
+    ``state["H"]``: a seed the caller put there, else the identity; every
+    reset goes back to the identity."""
     path = []
     stalls = 0
-    state = {}
     for it in range(opts.max_iter):
         if np.max(np.abs(gx)) < opts.tol_grad:
             return x, fx, gx, it, "converged", path
@@ -287,7 +299,7 @@ def fd_hessian(design_or_data, spec, params, use_weights=False) -> np.ndarray:
     return _fd_hessian_of(grad_ll, pk.pack(params))
 
 
-def _run_cascade(f, g, x0, opts):
+def _run_cascade(f, g, x0, opts, h0=None):
     fx = f(x0)
     if not np.isfinite(fx):
         raise NonFiniteObjectiveAtInit(
@@ -305,8 +317,9 @@ def _run_cascade(f, g, x0, opts):
         ("ascent", _steepest_direction, None),
     )
     for name, direction, update in stages:
+        state = {"H": h0} if name == "bfgs" else {}
         x, fx, gx, iters, status, seg = _stage_loop(
-            direction, update, f, g, x, fx, gx, opts
+            direction, update, f, g, x, fx, gx, opts, state
         )
         total_iters += iters
         path += seg
@@ -333,6 +346,9 @@ def fit(
     opts = options or FitOptions()
     design = data if isinstance(data, Design) else build_design(data, spec)
     pk = design.packing
+    h0 = None
+    if isinstance(init, _WarmStart):
+        init, h0 = init.packed, init.inv_hessian
     if init is None:
         x0 = default_init(design, spec)
     elif isinstance(init, NaturalParams):
@@ -357,7 +373,7 @@ def fit(
     first_error = None
     for x_start in starts:
         try:
-            run = _run_cascade(f, g, x_start, opts)
+            run = _run_cascade(f, g, x_start, opts, h0)
         except NonFiniteObjectiveAtInit as e:
             if first_error is None:
                 first_error = e

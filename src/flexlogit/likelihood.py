@@ -461,9 +461,10 @@ def _softmax_rows(expo: np.ndarray, obs_ptr: np.ndarray, row_obs: np.ndarray):
     return e / denom[row_obs]
 
 
-def probabilities_from_design(spec, params, X, alt_index, alternatives, obs_ptr):
+def probabilities_from_design(spec, params, X, alt_index, alternatives, obs_ptr, row_obs):
+    """Per-row probabilities from compiled arrays; ``row_obs`` is each row's
+    observation position, as ``Design.row_obs`` holds it."""
     expo, _, _, _ = _s_rows(spec, params, X, alt_index, alternatives)
-    row_obs = np.repeat(np.arange(len(obs_ptr) - 1), np.diff(obs_ptr))
     return _softmax_rows(expo, np.asarray(obs_ptr), row_obs)
 
 
@@ -472,7 +473,7 @@ def probabilities(data: ChoiceDataset, spec: ModelSpec, params: NaturalParams) -
     validate_params(spec, params, data.alternatives)
     d = build_design(data, spec)
     return probabilities_from_design(
-        spec, params, d.X, d.alt_index, d.alternatives, d.obs_ptr
+        spec, params, d.X, d.alt_index, d.alternatives, d.obs_ptr, d.row_obs
     )
 
 

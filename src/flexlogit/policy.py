@@ -223,7 +223,8 @@ def _probabilities_at(data, design, spec, params, cov) -> np.ndarray:
         raise NonNumericCell("covariates contain NaN or infinite entries")
     X, _ = build_design_matrix(spec, cov, data.columns, data.alt_ids, design.alternatives)
     return probabilities_from_design(
-        spec, params, X, design.alt_index, design.alternatives, design.obs_ptr
+        spec, params, X, design.alt_index, design.alternatives, design.obs_ptr,
+        design.row_obs,
     )
 
 

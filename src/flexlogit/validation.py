@@ -46,6 +46,8 @@ def make_folds(data: ChoiceDataset, k: int, seed: int = 0) -> FoldPlan:
     """
     if k < 2:
         raise ValueError("k must be at least 2")
+    if seed < 0:
+        raise ValueError(f"fold seed must be >= 0, got {seed}")
     uniq = data.unique_obs()
     if k > uniq.shape[0]:
         raise KTooLarge(f"k={k} folds but only {uniq.shape[0]} observations")

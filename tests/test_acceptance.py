@@ -560,7 +560,7 @@ def test_stability_extreme_arguments():
             for x in patterns:
                 P = probabilities_from_design(spec, pk.unpack(x), d.X,
                                               d.alt_index, d.alternatives,
-                                              d.obs_ptr)
+                                              d.obs_ptr, d.row_obs)
                 assert np.all(np.isfinite(P))
                 assert P.min() >= 0.0 and P.max() <= 1.0
                 sums = np.add.reduceat(P, data.obs_ptr[:-1])

@@ -18,6 +18,7 @@ import flexlogit
 from flexlogit import cli, inference
 from flexlogit.cli import build_parser, main
 from flexlogit.data import SchemaMapping, load_csv, write_csv
+from flexlogit.estimation import fd_hessian
 from flexlogit.inference import chi2_sf
 from flexlogit.likelihood import Design, ModelSpec, build_design
 
@@ -490,13 +491,23 @@ def test_policy_target_unaffordable_budget_is_config_error(target_ws, tmp_path, 
 
 
 def test_cli_fits_compute_no_hessian(ws, target_ws, tmp_path, monkeypatch):
+    """No fit computes a Hessian; the bootstrap computes exactly one, at the
+    full-sample estimate, to seed its jackknife refits."""
     def boom(*args, **kwargs):
         raise AssertionError("fd_hessian called")
 
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return fd_hessian(*args, **kwargs)
+
     monkeypatch.setattr("flexlogit.estimation.fd_hessian", boom)
+    monkeypatch.setattr("flexlogit.inference.fd_hessian", counted)
     spec = str(ws / "mnl.json")
     assert main(["estimate", *base(ws), "--spec", spec, "--bootstrap", "3",
                  "--out", str(tmp_path / "est")]) == 0
+    assert len(calls) == 1
     assert main(["lrtest", *base(ws), "--full", spec,
                  "--restricted", str(ws / "time_only.json")]) == 0
     assert main(["policy-sweep", *base(ws), "--spec", spec,
@@ -508,6 +519,7 @@ def test_cli_fits_compute_no_hessian(ws, target_ws, tmp_path, monkeypatch):
                  "--target-alt", "1", "--cost-column", "cost",
                  "--budgets", "15", "--multiplier", "1.0",
                  "--out", str(tmp_path / "tgt")]) == 0
+    assert len(calls) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -557,6 +569,29 @@ def test_bad_fit_option_value_exits_2(ws, tmp_path, capsys, options):
     assert rc == 2
     name, = options
     assert f"configuration error: fit option {name} must be" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["bootstrap", "crossval", "multistart"])
+def test_negative_seed_exits_2_naming_the_seed(ws, tmp_path, capsys, command):
+    spec = str(ws / "mnl.json")
+    out = ["--out", str(tmp_path / "o")]
+    opts = tmp_path / "opts.json"
+    opts.write_text(json.dumps({"multistart": 1, "seed": -1}))
+    argv = {
+        "bootstrap": ["bootstrap", *base(ws), "--spec", spec, "--B", "3",
+                      "--seed", "-1", *out],
+        "crossval": ["crossval", *base(ws), "--spec", spec, "--k", "3",
+                     "--seed", "-1", *out],
+        "multistart": ["estimate", *base(ws), "--spec", spec,
+                       "--options", str(opts), *out],
+    }[command]
+    try:
+        rc = main(argv)
+    except SystemExit as exc:  # argparse rejects the --seed flag itself
+        rc = exc.code
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "seed" in err and "-1" in err
 
 
 def test_missing_data_file_exits_2(ws, tmp_path, capsys):

@@ -242,6 +242,8 @@ def test_simulate_rejects_bad_config():
     cfg = _sim_cfg(0, seed=0)
     with pytest.raises(ValueError):
         simulate(cfg)
+    with pytest.raises(ValueError, match="simulation seed must be >= 0, got -1"):
+        simulate(_sim_cfg(5, seed=-1))
     bad = SimulationConfig(
         spec=mnl_spec(columns=("time",)),
         true_params=NaturalParams(beta=[0.0], tau={1: 0.5, 2: -0.3}),

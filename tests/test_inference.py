@@ -1,3 +1,5 @@
+import functools
+
 import numpy as np
 import pytest
 
@@ -8,16 +10,19 @@ from flexlogit.errors import (
     TooManyFailures,
 )
 from flexlogit.estimation import FitOptions, fit
+from flexlogit import estimation, inference
 from flexlogit.inference import (
     BootstrapRun,
     bca_interval,
     bootstrap,
     chi2_sf,
     lr_test,
+    _curvature_seed,
+    _refit,
     _resample_ids,
 )
 from flexlogit.likelihood import build_design
-from flexlogit.validation import cross_validate
+from flexlogit.validation import cross_validate, make_folds
 
 from conftest import mnl_spec, scobit_dataset, spec_for, toy_dataset
 from interval_oracle import percentile_interval
@@ -194,6 +199,113 @@ def test_refits_do_not_rebuild_datasets(monkeypatch):
     assert run.failures == 0
     rep = cross_validate(d, {"m": mnl_spec()}, k=3)
     assert rep.failures == {"m": 0}
+
+
+SEEDED_CASES = {
+    "mnl": (lambda: toy_dataset(n_obs=120, seed=21), mnl_spec()),
+    "scobit": (lambda: scobit_dataset(150, seed=4), spec_for("scobit")),
+}
+
+
+@functools.lru_cache(maxsize=None)
+def _unseeded_run(case, B=6, seed=3):
+    """The stratified bootstrap with every refit's BFGS started from the
+    identity: the oracle of the curvature-seeded jackknife."""
+    make, spec = SEEDED_CASES[case]
+    data = make()
+    design = build_design(data, spec)
+    full = fit(design, spec)
+    uniq = data.unique_obs()
+    reps = [
+        _refit(design.take(np.searchsorted(uniq, _resample_ids(
+            data, np.random.default_rng(np.random.SeedSequence((seed, b))), True
+        ))), spec, full.packed, FitOptions())[0]
+        for b in range(B)
+    ]
+    n = uniq.shape[0]
+    jack = [_refit(design.take(np.delete(np.arange(n), i)), spec, full.packed,
+                   FitOptions())[0] for i in range(n)]
+    return full, np.vstack(reps), np.vstack(jack)
+
+
+@pytest.mark.parametrize("case", sorted(SEEDED_CASES))
+def test_seeded_jackknife_matches_identity_start(case):
+    """Jackknife refits start BFGS from the full-sample (-H)^-1 and land
+    within 10 tol_grad of the identity-start refits; the replicates and the
+    full fit keep the identity start and their bits."""
+    make, spec = SEEDED_CASES[case]
+    run = bootstrap(make(), spec, B=6, seed=3)
+    full, reps, jack = _unseeded_run(case)
+    assert np.array_equal(run.full.packed, full.packed)
+    assert np.array_equal(run.replicate_estimates, reps)
+    assert np.max(np.abs(run.jackknife_estimates - jack)) <= 1e-4
+    # the seed took effect: the jackknife does not repeat the oracle's bits
+    assert not np.array_equal(run.jackknife_estimates, jack)
+
+
+def test_jackknife_without_positive_definite_curvature_is_unseeded(monkeypatch):
+    make, spec = SEEDED_CASES["scobit"]
+    # -H = -I is not positive definite: the refits start from the identity
+    monkeypatch.setattr(inference, "fd_hessian",
+                        lambda design, *a: np.eye(design.packing.dim))
+    run = bootstrap(make(), spec, B=6, seed=3)
+    full, reps, jack = _unseeded_run("scobit")
+    assert np.array_equal(run.replicate_estimates, reps)
+    assert np.array_equal(run.jackknife_estimates, jack)
+
+
+def test_seeded_bootstrap_does_not_depend_on_threads():
+    make, spec = SEEDED_CASES["scobit"]
+    d = make()
+    r1 = bootstrap(d, spec, B=6, seed=3, threads=1)
+    r2 = bootstrap(d, spec, B=6, seed=3, threads=2)
+    assert np.array_equal(r1.replicate_estimates, r2.replicate_estimates)
+    assert np.array_equal(r1.jackknife_estimates, r2.jackknife_estimates)
+    assert np.array_equal(r1.full.packed, r2.full.packed)
+    assert r1.failures == r2.failures
+
+
+@pytest.mark.parametrize("case", sorted(SEEDED_CASES))
+def test_seeded_jackknife_refits_evaluate_less(case, monkeypatch):
+    make, spec = SEEDED_CASES[case]
+    d = make()
+    design = build_design(d, spec)
+    opts = FitOptions()
+    full = fit(design, spec, options=opts)
+    h0 = _curvature_seed(design, spec, full, opts)
+    assert h0 is not None
+    calls = [0]
+    objective = estimation.ll_with_design
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return objective(*args, **kwargs)
+
+    monkeypatch.setattr(estimation, "ll_with_design", counted)
+    n = d.unique_obs().shape[0]
+
+    def evaluations(seed):
+        calls[0] = 0
+        for i in range(0, n, 5):
+            _refit(design.take(np.delete(np.arange(n), i)), spec, full.packed,
+                   opts, seed)
+        return calls[0]
+
+    assert evaluations(h0) < evaluations(None)
+
+
+def test_negative_seeds_are_rejected_before_any_fit(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the seed is checked before any fit")
+
+    monkeypatch.setattr("flexlogit.inference.fit", refuse)
+    d = toy_dataset(n_obs=10)
+    with pytest.raises(ValueError, match="bootstrap seed must be >= 0, got -1"):
+        bootstrap(d, mnl_spec(), B=2, seed=-1)
+    with pytest.raises(ValueError, match="fold seed must be >= 0, got -1"):
+        make_folds(d, k=2, seed=-1)
+    with pytest.raises(ValueError, match="fit option seed must be an integer >= 0"):
+        FitOptions(multistart=1, seed=-1)
 
 
 def _run_from(reps, jack):
