@@ -31,6 +31,7 @@ from .data import (
     load_csv,
     simulate,
     write_csv,
+    write_table,
 )
 from .errors import (
     DataError,
@@ -49,20 +50,6 @@ from .validation import cross_validate
 CONFIG_EXIT = 2
 DATA_EXIT = 3
 ESTIMATION_EXIT = 4
-
-
-def _fmt(x) -> str:
-    if isinstance(x, float):
-        return repr(x)
-    return str(x)
-
-
-def _write_table(path: Path, header: list[str], rows: list[list]) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(x) for x in row])
 
 
 def _write_manifest(out: Path, command: str, args: dict, outputs: list[str]) -> None:
@@ -116,15 +103,10 @@ def _write_intervals(path: Path, res, run) -> list[str]:
     returns the stars."""
     iv95 = bca_interval(run, res.packed, 0.95)
     iv99 = bca_interval(run, res.packed, 0.99)
-    rows = [
-        [n, float(res.packed[m]), float(iv95[m, 0]), float(iv95[m, 1]),
-         float(iv99[m, 0]), float(iv99[m, 1]),
-         _stars(iv95[m, 0], iv95[m, 1], iv99[m, 0], iv99[m, 1])]
-        for m, n in enumerate(res.param_names)
-    ]
-    _write_table(path, ["parameter", "estimate", "lo95", "hi95", "lo99", "hi99", "stars"],
-                 rows)
-    return [r[-1] for r in rows]
+    stars = [_stars(*iv95[m], *iv99[m]) for m in range(len(res.param_names))]
+    write_table(path, ["parameter", "estimate", "lo95", "hi95", "lo99", "hi99", "stars"],
+                [res.param_names, res.packed, *iv95.T, *iv99.T, stars])
+    return stars
 
 
 def _print_summary(names, estimates, stars=None) -> None:
@@ -158,11 +140,12 @@ def cmd_estimate(args) -> int:
     else:
         res = fit(data, spec, options=opts)
         stars = None
-        _write_table(out / "params.csv", ["parameter", "estimate"],
-                     [[n, float(res.packed[m])] for m, n in enumerate(res.param_names)])
+        write_table(out / "params.csv", ["parameter", "estimate"],
+                    [res.param_names, res.packed])
 
-    _write_table(out / "ll_by_alt.csv", ["alt_id", "ll"],
-                 [[a, res.ll_by_alt[a]] for a in sorted(res.ll_by_alt)])
+    alts = sorted(res.ll_by_alt)
+    write_table(out / "ll_by_alt.csv", ["alt_id", "ll"],
+                [alts, [res.ll_by_alt[a] for a in alts]])
     _write_manifest(out, "estimate", vars(args) | {"status": res.status}, outputs)
     _print_summary(res.param_names, res.packed, stars)
     print(f"log-likelihood {res.ll:.6f}  status {res.status} "
@@ -182,8 +165,8 @@ def cmd_lrtest(args) -> int:
     print(f"LR stat {res.stat:.6f}  df {res.df}  p-value {res.p_value:.6g}")
     if args.out:
         out = _out_dir(args)
-        _write_table(out / "lrtest.csv", ["stat", "df", "p_value"],
-                     [[res.stat, res.df, res.p_value]])
+        write_table(out / "lrtest.csv", ["stat", "df", "p_value"],
+                    [[res.stat], [res.df], [res.p_value]])
         _write_manifest(out, "lrtest", vars(args), ["lrtest.csv"])
     return 0
 
@@ -228,7 +211,8 @@ def cmd_crossval(args) -> int:
     ]
     for label in specs:
         rows.append([label, "mean", "", report.mean_test_ll[label], ""])
-    _write_table(out / "cv.csv", ["spec", "fold", "train_ll", "test_ll", "converged"], rows)
+    write_table(out / "cv.csv", ["spec", "fold", "train_ll", "test_ll", "converged"],
+                list(zip(*rows)))
     _write_manifest(out, "crossval", vars(args), ["cv.csv"])
     for label in report.ranking():
         print(f"{label}: mean held-out ll {report.mean_test_ll[label]:.6f} "
@@ -297,9 +281,9 @@ def cmd_policy_sweep(args) -> int:
     for point in sweep(data, spec, params, scenario):
         for a, (count, share) in sorted(point["by_alt"].items()):
             rows.append([point["value"], a, count, share])
-    _write_table(out / "sweep.csv",
-                 [scenario.sweep_parameter or "value", "alt_id", "expected_count", "share"],
-                 rows)
+    write_table(out / "sweep.csv",
+                [scenario.sweep_parameter or "value", "alt_id", "expected_count", "share"],
+                list(zip(*rows)))
     _write_manifest(out, "policy-sweep", vars(args), ["sweep.csv"])
     print(f"swept {scenario.sweep_parameter} over {len(scenario.sweep_grid)} points")
     return 0
@@ -326,24 +310,25 @@ def cmd_policy_target(args) -> int:
         cost_multiplier=args.multiplier,
     )
     out = _out_dir(args)
-    rows = []
     reports = select_targets(problem, args.budgets, args.skip_unaffordable)
     for budget, report in zip(args.budgets, reports):
-        chosen = set(int(o) for o in report.selected_obs)
-        for rank, o in enumerate(report.ranked_obs):
-            rows.append([budget, int(o), rank,
-                         float(report.gain_selection[rank]),
-                         float(report.gain_truth[rank]),
-                         float(report.costs[rank]),
-                         int(int(o) in chosen)])
         print(f"budget {budget}: {len(report.selected_obs)} selected, "
               f"cost {report.total_cost:.2f}, "
               f"truth gain {report.total_gain_truth:.4f}, "
               f"efficiency {report.efficiency:.2f} per unit gain")
-    _write_table(out / "targeting.csv",
-                 ["budget", "obs_id", "rank", "gain_selection", "gain_truth",
-                  "cost", "selected"],
-                 rows)
+    # one row per (budget, ranked individual), budgets in the order given
+    ranked = [r.ranked_obs for r in reports]
+    write_table(out / "targeting.csv",
+                ["budget", "obs_id", "rank", "gain_selection", "gain_truth",
+                 "cost", "selected"],
+                [np.repeat(np.array(args.budgets, dtype=float), [len(o) for o in ranked]),
+                 np.concatenate(ranked),
+                 np.concatenate([np.arange(len(o)) for o in ranked]),
+                 np.concatenate([r.gain_selection for r in reports]),
+                 np.concatenate([r.gain_truth for r in reports]),
+                 np.concatenate([r.costs for r in reports]),
+                 np.concatenate([np.isin(r.ranked_obs, r.selected_obs)
+                                 for r in reports]).astype(np.int64)])
     _write_manifest(out, "policy-target", vars(args), ["targeting.csv"])
     return 0
 

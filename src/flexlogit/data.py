@@ -34,6 +34,7 @@ __all__ = [
     "SimulationConfig",
     "load_csv",
     "write_csv",
+    "write_table",
     "observed_shares",
     "simulate",
 ]
@@ -235,9 +236,15 @@ def gather_obs_rows(obs_ptr: np.ndarray, positions) -> tuple[np.ndarray, np.ndar
 def load_csv(path, schema: SchemaMapping | None = None) -> ChoiceDataset:
     """Read a long-format CSV into a validated ``ChoiceDataset``.
 
+    Each column is parsed in one call with Python's ``float()`` rules, so
+    ``1_0``, `` 2 ``, ``nan`` and ``inf`` read as ``float`` reads them. Id
+    cells must hold integers and chosen cells 0 or 1. A cell missing from a
+    short row, or from a blank line, reads as the empty string.
+
     Raises ``MissingColumn`` when a mapped column is absent, ``NonNumericCell``
-    when a cell cannot be parsed as a number, and the structural errors from
-    ``ChoiceDataset`` when the table is not valid long format.
+    naming the row and column of the first cell that cannot be parsed as its
+    column's kind, and the structural errors from ``ChoiceDataset`` when the
+    table is not valid long format.
     """
     schema = schema or SchemaMapping()
     with open(path, newline="") as fh:
@@ -266,62 +273,141 @@ def load_csv(path, schema: SchemaMapping | None = None) -> ChoiceDataset:
             structural.add(schema.weight)
         cov_names = [c for c in header if c not in structural]
 
-    def parse(col, kind, cast):
-        j = index[col]
-        out = []
-        for r, row in enumerate(rows):
-            cell = row[j]
-            try:
-                out.append(cast(cell))
-            except (ValueError, IndexError):
-                raise NonNumericCell(
-                    f"row {r + 2}, column {col!r}: cannot parse {cell!r} as {kind}"
-                ) from None
-        return out
+    width = len(header)
+    if min(map(len, rows), default=width) < width:
+        rows = [row + [""] * (width - len(row)) for row in rows]
 
-    obs = parse(schema.obs_id, "integer", lambda s: int(float(s)))
-    alt = parse(schema.alt_id, "integer", lambda s: int(float(s)))
-    cho = parse(schema.chosen, "0/1 flag", lambda s: _parse_chosen(s))
+    def parse(col, kind):
+        j = index[col]
+        return _parse_column([row[j] for row in rows], col, kind)
+
+    obs = parse(schema.obs_id, "integer").astype(np.int64)
+    alt = parse(schema.alt_id, "integer").astype(np.int64)
+    cho = parse(schema.chosen, "0/1 flag") == 1.0
     if schema.weight is not None:
-        w = parse(schema.weight, "number", float)
+        w = parse(schema.weight, "number")
     else:
-        w = [1.0] * len(rows)
+        w = np.ones(len(rows))
     cov = np.empty((len(rows), len(cov_names)))
     for k, col in enumerate(cov_names):
-        cov[:, k] = parse(col, "number", float)
+        cov[:, k] = parse(col, "number")
 
     return ChoiceDataset(
-        obs_ids=np.array(obs),
-        alt_ids=np.array(alt),
-        chosen=np.array(cho, dtype=bool),
-        weights=np.array(w),
+        obs_ids=obs,
+        alt_ids=alt,
+        chosen=cho,
+        weights=w,
         covariates=cov,
         columns=tuple(cov_names),
     )
 
 
-def _parse_chosen(s):
+# Ids are stored as int64; a float this large or larger does not fit.
+_INT64_BOUND = 2.0**63
+
+
+def _parse_integer(s: str) -> float:
+    v = float(s)
+    if not (v.is_integer() and abs(v) < _INT64_BOUND):
+        raise ValueError(s)
+    return v
+
+
+def _parse_chosen(s: str) -> float:
     v = float(s)
     if v not in (0.0, 1.0):
         raise ValueError(s)
-    return bool(v)
+    return v
+
+
+# kind -> (per-cell parser, the same rule applied to a parsed column)
+_CELL_RULES = {
+    "integer": (
+        _parse_integer,
+        lambda v: np.all((v == np.trunc(v)) & (np.abs(v) < _INT64_BOUND)),
+    ),
+    "0/1 flag": (_parse_chosen, lambda v: np.all((v == 0.0) | (v == 1.0))),
+    "number": (float, lambda v: True),
+}
+
+
+def _parse_column(cells: list[str], col: str, kind: str) -> np.ndarray:
+    """One column's cells as float64, parsed in one ``np.array`` call (which
+    applies ``float()`` to each string) and checked against the column's kind.
+    When that fails, the per-cell loop raises ``NonNumericCell`` for the first
+    bad cell, with its 1-based file row (the header is row 1)."""
+    parse_cell, column_ok = _CELL_RULES[kind]
+    try:
+        values = np.array(cells, dtype=float)
+    except ValueError:
+        values = None
+    if values is not None and column_ok(values):
+        return values
+    values = np.empty(len(cells))
+    for r, cell in enumerate(cells):
+        try:
+            values[r] = parse_cell(cell)
+        except ValueError:
+            raise NonNumericCell(
+                f"row {r + 2}, column {col!r}: cannot parse {cell!r} as {kind}"
+            ) from None
+    return values
+
+
+# Rows formatted per write: bounds the memory the cell strings take.
+_ROWS_PER_WRITE = 8192
+
+
+def write_table(path, header: list[str], columns) -> None:
+    """Write a CSV table given column by column.
+
+    The bytes are those ``csv.writer`` writes for the same rows with floats
+    formatted by ``repr`` and everything else by ``str``: ``\\r\\n`` line
+    ends, and a cell quoted only when it holds a comma, a double quote or a
+    line break. A numeric numpy column is formatted in one ``repr`` call per
+    block of rows; any other column cell by cell. Raises ``ValueError`` when
+    the columns differ in length.
+    """
+    lengths = {len(col) for col in columns}
+    if len(lengths) > 1:
+        raise ValueError(f"table columns differ in length: {sorted(lengths)}")
+    n_rows = lengths.pop() if lengths else 0
+    with open(path, "w", newline="") as fh:
+        _write_lines(fh, [",".join(map(_quote, header))])
+        for start in range(0, n_rows, _ROWS_PER_WRITE):
+            stop = start + _ROWS_PER_WRITE
+            _write_lines(fh, map(",".join, zip(*(_column_cells(col[start:stop])
+                                                 for col in columns))))
+
+
+def _write_lines(fh, lines) -> None:
+    # only a one-column row can be empty; csv.writer quotes its lone empty
+    # cell so that the row is not read back as a blank line
+    fh.write("".join((line or '""') + "\r\n" for line in lines))
+
+
+def _column_cells(col) -> list[str]:
+    if isinstance(col, np.ndarray) and col.dtype.kind in "fiu":
+        # repr of a list joins the float/int reprs of its items with ", "
+        text = repr(col.tolist())[1:-1]
+        return text.split(", ") if text else []
+    return [_quote(repr(x) if isinstance(x, float) else str(x)) for x in col]
+
+
+def _quote(cell: str) -> str:
+    if any(c in cell for c in ',"\r\n'):
+        return '"' + cell.replace('"', '""') + '"'
+    return cell
 
 
 def write_csv(data: ChoiceDataset, path, weight_column: str = "weight") -> None:
     """Write a dataset back to CSV with round-trip float precision."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["obs_id", "alt_id", "chosen", weight_column, *data.columns])
-        for i in range(data.n_rows):
-            writer.writerow(
-                [
-                    int(data.obs_ids[i]),
-                    int(data.alt_ids[i]),
-                    int(data.chosen[i]),
-                    repr(float(data.weights[i])),
-                    *[repr(float(x)) for x in data.covariates[i]],
-                ]
-            )
+    write_table(
+        path,
+        ["obs_id", "alt_id", "chosen", weight_column, *data.columns],
+        [data.obs_ids, data.alt_ids, data.chosen.astype(np.int64), data.weights,
+         *data.covariates.T],
+    )
 
 
 def observed_shares(data) -> dict[int, float]:

@@ -27,9 +27,9 @@ points enter the interval quantiles directly.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from statistics import NormalDist
 
 import numpy as np
-from scipy.special import gammaincc, ndtr, ndtri
 
 from .data import ChoiceDataset
 from .errors import (
@@ -51,6 +51,7 @@ __all__ = [
 
 NEGATIVE_STAT_SLACK = 1e-6
 MAX_FAILURE_FRACTION = 0.10
+_NORMAL = NormalDist()
 
 
 @dataclass(frozen=True)
@@ -62,9 +63,15 @@ class LRTestResult:
 
 def chi2_sf(stat: float, df: int) -> float:
     """Upper tail of the chi-square distribution via the regularized
-    incomplete gamma function."""
+    incomplete gamma function.
+
+    scipy is imported here, not at module level, so that the CLI's other
+    commands start without it.
+    """
     if stat <= 0:
         return 1.0
+    from scipy.special import gammaincc
+
     return float(gammaincc(df / 2.0, stat / 2.0))
 
 
@@ -236,7 +243,10 @@ def bca_interval(
     replicate falls on one side of the point estimate. Where the
     acceleration puts a level past the pole of the BCa map (1 - a(z0 + z) <=
     0), the level is the map's limit: 1 for z0 + z > 0, 0 for z0 + z < 0.
+    ``level`` must lie strictly between 0 and 1.
     """
+    if not 0.0 < level < 1.0:
+        raise ValueError(f"interval level must be in (0, 1), got {level!r}")
     reps = np.asarray(run.replicate_estimates, dtype=float)
     jack = np.asarray(run.jackknife_estimates, dtype=float)
     point = np.asarray(point, dtype=float).ravel()
@@ -244,7 +254,7 @@ def bca_interval(
     if point.shape[0] != dim:
         raise ValueError("point estimate length does not match replicates")
     alpha = (1.0 - level) / 2.0
-    z_lo, z_hi = ndtri(alpha), ndtri(1.0 - alpha)
+    z_lo, z_hi = _NORMAL.inv_cdf(alpha), _NORMAL.inv_cdf(1.0 - alpha)
 
     out = np.empty((dim, 2))
     for m in range(dim):
@@ -259,7 +269,7 @@ def bca_interval(
             )
         below = np.sum(r < point[m]) + 0.5 * np.sum(r == point[m])
         prop = np.clip(below / B, 1.0 / (B + 1), B / (B + 1.0))
-        z0 = ndtri(prop)
+        z0 = _NORMAL.inv_cdf(float(prop))
 
         jm = jack[:, m]
         d = np.mean(jm) - jm
@@ -272,7 +282,7 @@ def bca_interval(
             if den <= 0.0:
                 # past the pole of the BCa map: take its limit, the far tail
                 return 1.0 if w > 0 else 0.0
-            return float(ndtr(z0 + w / den))
+            return _NORMAL.cdf(z0 + w / den)
 
         out[m, 0] = np.quantile(r, adj(z_lo))
         out[m, 1] = np.quantile(r, adj(z_hi))

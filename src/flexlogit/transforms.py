@@ -43,7 +43,6 @@ and 2.
 from __future__ import annotations
 
 import numpy as np
-from scipy.special import expit
 
 from .errors import DomainViolation, InvalidParams
 
@@ -53,6 +52,7 @@ __all__ = [
     "get_family",
     "softplus",
     "log_expm1",
+    "expit",
 ]
 
 # Beyond this, exp() overflows double precision.
@@ -64,6 +64,16 @@ _ASYMPTOTE = 34.0
 def softplus(x):
     """log(1 + e^x), overflow-safe for any float x."""
     return np.logaddexp(0.0, x)
+
+
+def expit(x):
+    """The logistic sigmoid 1 / (1 + e^-x).
+
+    The same expression as ``scipy.special.expit``: e^-x overflows to inf
+    for x below about -709.8, and the result is then exactly 0.
+    """
+    with np.errstate(over="ignore"):
+        return 1.0 / (1.0 + np.exp(-x))
 
 
 def log_expm1(x):

@@ -10,6 +10,10 @@ and seed are unchanged.
 import argparse
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,10 +22,12 @@ import flexlogit
 from flexlogit import cli, inference
 from flexlogit.cli import build_parser, main
 from flexlogit.data import SchemaMapping, load_csv, write_csv
-from flexlogit.estimation import fd_hessian
+from flexlogit.estimation import fd_hessian, fit
 from flexlogit.inference import chi2_sf
 from flexlogit.likelihood import Design, ModelSpec, build_design
+from flexlogit.policy import TargetingProblem, select_targets
 
+import csv_oracle
 from conftest import toy_dataset
 
 
@@ -365,6 +371,28 @@ def test_simulate_deterministic_and_seed_override(tmp_path, capsys):
     assert data.n_obs == 400 and data.alternatives == (1, 2, 3)
 
 
+# data.csv of SIM_CONFIG at n_obs = 3, as the row-wise csv.writer loop wrote it
+SIM_3_OBS_BYTES = (
+    b"obs_id,alt_id,chosen,weight,time,cost\r\n"
+    b"0,1,1,1.0,-0.935640559194947,-0.2030489257184085\r\n"
+    b"0,2,0,1.0,1.4849598362084064,-0.9668889534691982\r\n"
+    b"0,3,0,1.0,-0.16696191706109031,-0.3041450497448599\r\n"
+    b"1,1,0,1.0,-0.7808617105969353,-0.9025191706518365\r\n"
+    b"1,2,1,1.0,-0.5672730588424959,1.3793750486787557\r\n"
+    b"1,3,0,1.0,0.8763223012508239,0.289804216209018\r\n"
+    b"2,1,0,1.0,1.4950576980461103,-0.9597848420734039\r\n"
+    b"2,2,0,1.0,1.536967081000408,-1.0884558785473395\r\n"
+    b"2,3,1,1.0,-1.1378070079681692,1.5062562124134868\r\n"
+)
+
+
+def test_simulate_bytes_are_unchanged(tmp_path):
+    cfg = tmp_path / "sim.json"
+    cfg.write_text(json.dumps(dict(SIM_CONFIG, n_obs=3)))
+    assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "s")]) == 0
+    assert (tmp_path / "s" / "data.csv").read_bytes() == SIM_3_OBS_BYTES
+
+
 def test_simulate_then_estimate_recovers_truth(ws, tmp_path):
     cfg = tmp_path / "sim.json"
     cfg.write_text(json.dumps(SIM_CONFIG))
@@ -477,6 +505,35 @@ def test_policy_target_budgets_and_flags(target_ws, tmp_path, capsys):
     sel = lambda b: {int(r["obs_id"]) for r in by_budget[b] if r["selected"] == "1"}
     assert sel(3.0) <= sel(15.0)
     assert "budget 3.0:" in capsys.readouterr().out
+
+
+def test_policy_target_table_equals_row_wise_construction(target_ws, tmp_path):
+    """targeting.csv, built column-wise from the reports, has the bytes of the
+    per-row construction with a set lookup for ``selected``."""
+    spec = str(target_ws / "mnl.json")
+    args = ["--selection-spec", spec, "--truth-spec", spec, "--target-alt", "1",
+            "--cost-column", "cost", "--related-alts", "2", "--multiplier", "1.0"]
+    assert main(["policy-target", "--data", str(target_ws / "data.csv"), *args,
+                 "--budgets", "15,3", "--out", str(tmp_path / "tgt")]) == 0
+
+    data = load_csv(target_ws / "data.csv")
+    model = fit(data, ModelSpec.from_json(spec))
+    problem = TargetingProblem(data=data, selection_model=model, truth_model=model,
+                               target_alt=1, cost_column="cost", related_alts=(2,),
+                               cost_multiplier=1.0)
+    budgets = [15.0, 3.0]
+    rows = []
+    for budget, report in zip(budgets, select_targets(problem, budgets)):
+        chosen = set(int(o) for o in report.selected_obs)
+        for rank, o in enumerate(report.ranked_obs):
+            rows.append([budget, int(o), rank, float(report.gain_selection[rank]),
+                         float(report.gain_truth[rank]), float(report.costs[rank]),
+                         int(int(o) in chosen)])
+    csv_oracle.write_table(tmp_path / "want.csv",
+                           ["budget", "obs_id", "rank", "gain_selection", "gain_truth",
+                            "cost", "selected"], rows)
+    assert (tmp_path / "tgt" / "targeting.csv").read_bytes() == \
+        (tmp_path / "want.csv").read_bytes()
 
 
 def test_policy_target_unaffordable_budget_is_config_error(target_ws, tmp_path, capsys):
@@ -650,3 +707,57 @@ def test_estimation_failure_exits_4(ws, tmp_path, capsys):
                "--out", str(tmp_path / "o")])
     assert rc == 4
     assert "estimation error" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# start-up: scipy stays out of the CLI's import path
+# ---------------------------------------------------------------------------
+
+SRC = str(Path(flexlogit.__file__).resolve().parents[1])
+
+
+def _python(args, cwd):
+    env = dict(os.environ, PYTHONPATH=SRC)
+    return subprocess.run([sys.executable, *args], cwd=cwd, env=env,
+                          capture_output=True, text=True, timeout=300)
+
+
+def test_cli_runs_without_importing_scipy(ws, tmp_path):
+    """``import flexlogit.cli`` and ``python -m flexlogit`` runs of the
+    estimate, crossval and policy commands never import scipy; only lrtest
+    p-values and ``lossprob`` need it."""
+    done = _python(["-c", "import sys, flexlogit.cli; "
+                    "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
+                   tmp_path)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
+
+    data = ["--data", str(ws / "data.csv"), "--schema", str(ws / "schema.json")]
+    mnl = str(ws / "mnl.json")
+    for argv in (
+        ["estimate", *data, "--spec", mnl, "--out", "est", "--bootstrap", "5"],
+        ["crossval", *data, "--spec", mnl, "--k", "3", "--out", "cv"],
+        ["policy-sweep", *data, "--spec", mnl, "--params", "est/params.csv",
+         "--scenario", str(ws / "scenario.json"), "--out", "sweep"],
+    ):
+        # -X importtime logs every module imported to stderr
+        done = _python(["-X", "importtime", "-m", "flexlogit", *argv], tmp_path)
+        assert done.returncode == 0, done.stderr
+        imported = [line.rsplit("|", 1)[-1].strip() for line in done.stderr.splitlines()
+                    if line.startswith("import time:")]
+        assert "flexlogit.cli" in imported
+        assert not [m for m in imported if m.split(".")[0] == "scipy"], argv[0]
+
+
+def test_lrtest_p_value_is_scipy_gammaincc(ws, tmp_path):
+    """lrtest imports scipy on demand, in a fresh process as in real use."""
+    from scipy.special import gammaincc
+
+    done = _python(["-m", "flexlogit", "lrtest", "--data", str(ws / "data.csv"),
+                    "--schema", str(ws / "schema.json"), "--full", str(ws / "mnl.json"),
+                    "--restricted", str(ws / "time_only.json"), "--out", "lr"], tmp_path)
+    assert done.returncode == 0, done.stderr
+    row, = read_rows(tmp_path / "lr" / "lrtest.csv")
+    stat, df, p = float(row["stat"]), int(row["df"]), float(row["p_value"])
+    assert stat > 0.0
+    assert p == float(gammaincc(df / 2.0, stat / 2.0))

@@ -1,6 +1,15 @@
+import csv
+import tempfile
+from pathlib import Path
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+import csv_oracle
+from flexlogit import data as data_module
 from flexlogit.data import (
     ChoiceDataset,
     CovariateSpec,
@@ -10,8 +19,10 @@ from flexlogit.data import (
     observed_shares,
     simulate,
     write_csv,
+    write_table,
 )
 from flexlogit.errors import (
+    DataError,
     DuplicateAltForObs,
     MissingColumn,
     MultipleChoicesForObs,
@@ -156,6 +167,131 @@ def test_csv_errors(tmp_path):
     p.write_text("obs_id,alt_id,chosen,x\n1,1,2,0.5\n1,2,0,0.6\n")
     with pytest.raises(NonNumericCell):
         load_csv(p)
+
+
+@pytest.mark.parametrize("cells,col,bad", [
+    (("2.7", "2.2"), "obs_id", "'2.7'"),
+    (("inf", "inf"), "obs_id", "'inf'"),
+    (("1e30", "1e30"), "obs_id", "'1e30'"),
+], ids=["fraction", "inf", "1e30"])
+def test_id_cells_must_hold_integers(tmp_path, cells, col, bad):
+    # 2.7 and 2.2 used to load as one observation 2; inf and 1e30 escaped as
+    # a bare OverflowError
+    p = tmp_path / "ids.csv"
+    p.write_text(f"obs_id,alt_id,chosen,x\n{cells[0]},1,1,0.5\n{cells[1]},2,0,0.6\n")
+    with pytest.raises(NonNumericCell) as exc:
+        load_csv(p)
+    assert str(exc.value) == f"row 2, column {col!r}: cannot parse {bad} as integer"
+
+
+@pytest.mark.parametrize("body,message", [
+    ("1,1,1,0.5\n\n1,2,0,0.6\n", "row 3, column 'obs_id': cannot parse '' as integer"),
+    ("1,1,1,0.5\n1,2,0\n", "row 3, column 'x': cannot parse '' as number"),
+], ids=["blank line", "short row"])
+def test_missing_cells_are_bad_cells(tmp_path, body, message):
+    # a blank line or a short row used to escape as a bare IndexError
+    p = tmp_path / "short.csv"
+    p.write_text("obs_id,alt_id,chosen,x\n" + body)
+    with pytest.raises(NonNumericCell) as exc:
+        load_csv(p)
+    assert str(exc.value) == message
+
+
+def _outcome(load, path, schema):
+    try:
+        d = load(path, schema)
+    except DataError as e:
+        return type(e), str(e)
+    return (d.obs_ids.tolist(), d.alt_ids.tolist(), d.chosen.tolist(),
+            d.weights.view(np.int64).tolist(), d.covariates.view(np.int64).tolist(),
+            d.columns)
+
+
+# spellings of numbers that float() accepts
+_ODD_SPELLINGS = ["1_0", " 2 ", "+4", "1E-3", ".5", "5.", "-0.0", "1e5"]
+_BAD_CELLS = ["", "oops", "nan", "inf", "-inf", "2.7", "2", "True", "0x10", "1,5", "1 2"]
+
+
+@given(
+    n_obs=st.integers(1, 4),
+    n_alts=st.integers(2, 3),
+    values=st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=36,
+                    max_size=36),
+    odd=st.lists(st.sampled_from(_ODD_SPELLINGS), max_size=3),
+    fault=st.sampled_from(["none", "cell", "blank line", "short row"]),
+    bad=st.sampled_from(_BAD_CELLS),
+    where=st.integers(0, 10**6),
+)
+def test_load_csv_matches_per_cell_oracle(n_obs, n_alts, values, odd, fault, bad, where):
+    header = ["obs_id", "alt_id", "chosen", "w", "x", "y"]
+    rows, it = [], iter(values)
+    for i in range(n_obs):
+        for a in range(1, n_alts + 1):
+            rows.append([str(10 * i), str(a), str(int(a == 1 + i % n_alts)),
+                         repr(abs(next(it))), repr(next(it)), repr(next(it))])
+    for k, text in enumerate(odd):
+        rows[k % len(rows)][4] = text
+    n_cells = len(rows) * len(header)
+    if fault == "cell":
+        rows[where % n_cells // len(header)][where % len(header)] = bad
+    elif fault == "short row":
+        r = where % len(rows)
+        rows[r] = rows[r][: where % len(header)]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "data.csv"
+        with open(path, "w", newline="") as fh:
+            csv.writer(fh).writerows([header, *rows])
+        if fault == "blank line":
+            lines = path.read_text().splitlines(keepends=True)
+            lines.insert(1 + where % len(rows), "\n")
+            path.write_text("".join(lines))
+        schema = SchemaMapping(weight="w")
+        got = _outcome(load_csv, path, schema)
+        assert got == _outcome(csv_oracle.load_csv, path, schema)
+    if fault == "none":
+        # rows were written in canonical order: the parsed floats are float()
+        # of the cells, bit for bit
+        want = np.array([[float(row[4]), float(row[5])] for row in rows])
+        assert got[4] == want.view(np.int64).tolist()
+
+
+_TEXT = st.text(alphabet='ab ,"\r\n\t\'', max_size=4)
+_FLOATS = st.floats(allow_nan=True, allow_infinity=True)
+_COLUMN_KINDS = {
+    "float array": lambda n: st.lists(_FLOATS, min_size=n, max_size=n).map(np.array),
+    "int array": lambda n: st.lists(st.integers(-2**62, 2**62), min_size=n,
+                                    max_size=n).map(np.array),
+    "text": lambda n: st.lists(_TEXT, min_size=n, max_size=n),
+    "mixed": lambda n: st.lists(st.one_of(_TEXT, _FLOATS, st.integers()),
+                                min_size=n, max_size=n),
+}
+
+
+@st.composite
+def _tables(draw):
+    n_rows = draw(st.integers(0, 5))
+    kinds = draw(st.lists(st.sampled_from(sorted(_COLUMN_KINDS)), min_size=1, max_size=4))
+    header = draw(st.lists(_TEXT, min_size=len(kinds), max_size=len(kinds)))
+    return header, [draw(_COLUMN_KINDS[k](n_rows)) for k in kinds]
+
+
+@given(table=_tables(), block=st.integers(1, 3))
+def test_write_table_bytes_equal_csv_writer(table, block):
+    header, columns = table
+    rows = [[c.tolist()[i] if isinstance(c, np.ndarray) else c[i] for c in columns]
+            for i in range(len(columns[0]))]
+    with tempfile.TemporaryDirectory() as tmp:
+        got, want = Path(tmp) / "got.csv", Path(tmp) / "want.csv"
+        # small blocks so that tables of a few rows span several writes
+        with mock.patch.object(data_module, "_ROWS_PER_WRITE", block):
+            write_table(got, header, columns)
+        csv_oracle.write_table(want, header, rows)
+        assert got.read_bytes() == want.read_bytes()
+
+
+def test_write_table_rejects_ragged_columns(tmp_path):
+    with pytest.raises(ValueError):
+        write_table(tmp_path / "t.csv", ["a", "b"], [np.zeros(3), np.zeros(2)])
 
 
 def test_observed_shares_weighted():

@@ -1,4 +1,5 @@
 import functools
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -384,3 +385,30 @@ def test_bca_rejects_mismatched_point():
     run = _run_from(np.arange(10.0), np.arange(5.0))
     with pytest.raises(ValueError):
         bca_interval(run, np.zeros(3))
+
+
+@pytest.mark.parametrize("level", [-0.2, 0.0, 1.0, 1.5, float("nan")])
+def test_bca_rejects_level_outside_unit_interval(level):
+    # -0.2 used to return lo > hi; 1.0 and 1.5 failed inside np.quantile
+    run = _run_from(np.arange(10.0), np.arange(5.0))
+    with pytest.raises(ValueError, match=rf"level must be in \(0, 1\), got {level!r}"):
+        bca_interval(run, np.array([4.5]), level)
+
+
+def test_bca_normal_functions_agree_with_scipy(monkeypatch):
+    """``statistics.NormalDist`` in place of scipy's ``ndtr``/``ndtri`` moves
+    the endpoints by at most a few ulps: 1e-14 of the replicates' scale."""
+    from scipy.special import ndtr, ndtri
+
+    rng = np.random.default_rng(12)
+    runs = [
+        _run_from(rng.normal(0.3, 1.0, (400, 3)), rng.normal(0.0, 0.05, (25, 3))),
+        _run_from(rng.gamma(2.0, 1.0, (199, 2)), rng.gamma(2.0, 0.1, (40, 2)) ** 3),
+    ]
+    levels = (0.5, 0.9, 0.95, 0.99, 0.999)
+    point = [np.full(3, 0.25), np.array([1.5, 2.5])]
+    got = [bca_interval(r, p, lv) for r, p in zip(runs, point) for lv in levels]
+    monkeypatch.setattr(inference, "_NORMAL", SimpleNamespace(cdf=ndtr, inv_cdf=ndtri))
+    want = [bca_interval(r, p, lv) for r, p in zip(runs, point) for lv in levels]
+    for g, w in zip(got, want):
+        assert np.all(np.abs(g - w) <= 1e-14 * np.max(np.abs(w)))

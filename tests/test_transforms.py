@@ -8,6 +8,7 @@ from flexlogit.transforms import (
     CORE_FAMILY_NAMES,
     FAMILIES,
     RESTRICTED_FAMILY_NAMES,
+    expit,
     get_family,
     log_expm1,
     softplus,
@@ -526,6 +527,25 @@ def test_fused_kernel_equals_oracle(name):
         else:
             assert np.array_equal(dg, want_dg, equal_nan=True)
     assert n > 0
+
+
+def test_expit_within_4_ulp_of_scipy():
+    """``transforms.expit`` is scipy's expression evaluated with numpy's exp,
+    so the two may differ in the last bits; bound them on every argument the
+    kernel grids give expit (V and -gamma V, both signs) plus a dense sweep."""
+    from scipy.special import expit as scipy_expit
+
+    args = []
+    for _, v, g, _ in _kernel_cases():
+        args.append(np.ravel(v))
+        if g is not None and np.size(g) in (1, np.size(v)):
+            args.append(np.ravel(-np.asarray(g) * v))
+    x = np.concatenate(args)
+    x = np.concatenate([x, -x, np.linspace(-800.0, 800.0, 200_001)])
+    got, want = expit(x), scipy_expit(x)
+    ulps = np.abs(got.view(np.int64) - want.view(np.int64))  # both are >= 0
+    assert ulps.max() <= 4
+    assert np.array_equal(got == 0.0, want == 0.0)
 
 
 @pytest.mark.parametrize(

@@ -10,10 +10,9 @@ reproduce all three outputs bit for bit and raise the same domain errors.
 from __future__ import annotations
 
 import numpy as np
-from scipy.special import expit
 
 from flexlogit.errors import DomainViolation
-from flexlogit.transforms import _ASYMPTOTE, _EXP_OVERFLOW, log_expm1, softplus
+from flexlogit.transforms import _ASYMPTOTE, _EXP_OVERFLOW, expit, log_expm1, softplus
 
 
 def _as_float_array(x):
