@@ -19,6 +19,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import (
+    DataError,
     DuplicateAltForObs,
     EmptyDataset,
     MissingColumn,
@@ -238,10 +239,12 @@ def load_csv(path, schema: SchemaMapping | None = None) -> ChoiceDataset:
 
     Each column is parsed in one call with Python's ``float()`` rules, so
     ``1_0``, `` 2 ``, ``nan`` and ``inf`` read as ``float`` reads them. Id
-    cells must hold integers and chosen cells 0 or 1. A cell missing from a
-    short row, or from a blank line, reads as the empty string.
+    cells must hold integers below 2**53 in magnitude, the range in which
+    float64 holds every integer exactly, and chosen cells 0 or 1. A cell
+    missing from a short row, or from a blank line, reads as the empty string.
 
-    Raises ``MissingColumn`` when a mapped column is absent, ``NonNumericCell``
+    Raises ``DataError`` naming a column the header names more than once,
+    ``MissingColumn`` when a mapped column is absent, ``NonNumericCell``
     naming the row and column of the first cell that cannot be parsed as its
     column's kind, and the structural errors from ``ChoiceDataset`` when the
     table is not valid long format.
@@ -256,6 +259,9 @@ def load_csv(path, schema: SchemaMapping | None = None) -> ChoiceDataset:
         rows = list(reader)
 
     index = {name: i for i, name in enumerate(header)}
+    if len(index) < len(header):
+        repeated = next(c for k, c in enumerate(header) if c in header[:k])
+        raise DataError(f"column {repeated!r} appears more than once in the header")
     for col in (schema.obs_id, schema.alt_id, schema.chosen):
         if col not in index:
             raise MissingColumn(f"required column {col!r} not in header {header}")
@@ -302,13 +308,14 @@ def load_csv(path, schema: SchemaMapping | None = None) -> ChoiceDataset:
     )
 
 
-# Ids are stored as int64; a float this large or larger does not fit.
-_INT64_BOUND = 2.0**63
+# Ids are read through float64, which holds every integer below this bound
+# exactly; at or above it distinct ids can round to one value.
+_ID_BOUND = 2.0**53
 
 
 def _parse_integer(s: str) -> float:
     v = float(s)
-    if not (v.is_integer() and abs(v) < _INT64_BOUND):
+    if not (v.is_integer() and abs(v) < _ID_BOUND):
         raise ValueError(s)
     return v
 
@@ -324,7 +331,7 @@ def _parse_chosen(s: str) -> float:
 _CELL_RULES = {
     "integer": (
         _parse_integer,
-        lambda v: np.all((v == np.trunc(v)) & (np.abs(v) < _INT64_BOUND)),
+        lambda v: np.all((v == np.trunc(v)) & (np.abs(v) < _ID_BOUND)),
     ),
     "0/1 flag": (_parse_chosen, lambda v: np.all((v == 0.0) | (v == 1.0))),
     "number": (float, lambda v: True),

@@ -163,21 +163,19 @@ def default_init(data: ChoiceDataset | Design, spec: ModelSpec) -> np.ndarray:
 
 
 def _objective(design: Design, spec, opts):
-    pk = design.packing
-
     # Exploratory line-search points may overflow shapes or violate a
     # restricted domain; both simply mean "reject this point".
     def f(x):
         with np.errstate(all="ignore"):
             try:
-                ll, _ = ll_with_design(design, spec, pk.unpack(x), opts.use_weights)
+                ll, _ = ll_with_design(design, spec, x, opts.use_weights)
             except (DomainViolation, NonFiniteIndex):
                 return np.inf
         return -ll if np.isfinite(ll) else np.inf
 
     def g(x):
         with np.errstate(all="ignore"):
-            return -gradient_with_design(design, spec, pk.unpack(x), opts.use_weights)
+            return -gradient_with_design(design, spec, x, opts.use_weights)
 
     return f, g
 
@@ -291,12 +289,11 @@ def fd_hessian(design_or_data, spec, params, use_weights=False) -> np.ndarray:
         if isinstance(design_or_data, Design)
         else build_design(design_or_data, spec)
     )
-    pk = design.packing
 
     def grad_ll(x):
-        return gradient_with_design(design, spec, pk.unpack(x), use_weights)
+        return gradient_with_design(design, spec, x, use_weights)
 
-    return _fd_hessian_of(grad_ll, pk.pack(params))
+    return _fd_hessian_of(grad_ll, design.packing.pack(params))
 
 
 def _run_cascade(f, g, x0, opts, h0=None):
@@ -387,7 +384,7 @@ def fit(
     params = pk.unpack(x)
     # shapes that under- or overflowed at the optimum are not admissible
     validate_params(spec, params, design.alternatives)
-    ll, floored = ll_with_design(design, spec, params, opts.use_weights)
+    ll, floored = ll_with_design(design, spec, x, opts.use_weights)
 
     return EstimationResult(
         spec=spec,
@@ -395,9 +392,7 @@ def fit(
         packed=x,
         param_names=pk.names(),
         ll=ll,
-        ll_by_alt=ll_by_alternative_with_design(
-            design, spec, params, opts.use_weights
-        ),
+        ll_by_alt=ll_by_alternative_with_design(design, spec, x, opts.use_weights),
         score=-gx,
         grad_norm_inf=float(np.max(np.abs(gx))),
         status=status,

@@ -11,11 +11,13 @@ shape parameters gamma_j.
 
 Parameters travel in two representations. ``NaturalParams`` holds the
 human-readable values (beta, intercepts keyed by alternative id, shapes on
-their natural scale). ``Packing`` flattens them into one unconstrained vector
-for the optimizer: the beta block in specification order, then free
-intercepts by ascending alternative id, then free unconstrained shapes by
-ascending alternative id. ``gradient`` returns derivatives in that packed
-order, with the chain rule through each family's reparameterization applied.
+their natural scale) and is the type at the API boundary. Only ``Packing``
+reads or writes the optimizer's unconstrained vector: the beta block in
+specification order, then free intercepts by ascending alternative id, then
+free unconstrained shapes by ascending alternative id. The compiled
+evaluators take either form and evaluate a packed vector directly.
+``gradient`` returns derivatives in packed order, with the chain rule through
+each family's reparameterization applied.
 """
 
 from __future__ import annotations
@@ -209,7 +211,8 @@ class Packing:
     alternative ascending, then the unconstrained shape block ascending by
     alternative id (two adjacent slots per alternative for two-shape
     families; the asym_logit shape of its reference alternative is fixed at
-    zero and omitted).
+    zero and omitted). No other code reads or writes this layout; the compiled
+    evaluators read a packed vector through ``arrays``.
     """
 
     def __init__(self, spec: ModelSpec, alternatives):
@@ -230,6 +233,9 @@ class Packing:
         self.shape_alts = (
             [a for a in self.alternatives if ns and a != self.shape_ref] if ns else []
         )
+        row = {a: i for i, a in enumerate(self.alternatives)}
+        self.tau_rows = np.array([row[a] for a in self.free_taus], dtype=np.intp)
+        self.shape_rows = np.array([row[a] for a in self.shape_alts], dtype=np.intp)
         self.n_beta = len(spec.coefficients)
         self.n_tau = len(self.free_taus)
         self.n_shape = len(self.shape_alts) * ns
@@ -246,50 +252,44 @@ class Packing:
                 out += [f"shape:{a}:{k + 1}" for k in range(ns)]
         return out
 
-    # -- shape block helpers ------------------------------------------------
-
-    def _full_unconstrained(self, shape_block: np.ndarray) -> np.ndarray:
-        """(n_alts, n_shapes) unconstrained matrix with fixed entries at 0."""
-        ns = self.family.n_shapes_per_alt
-        full = np.zeros((len(self.alternatives), ns))
-        by_alt = shape_block.reshape(len(self.shape_alts), ns)
-        rows = [self.alternatives.index(a) for a in self.shape_alts]
-        full[rows] = by_alt
-        return full
-
-    def _free_entries(self, full: np.ndarray) -> np.ndarray:
-        rows = [self.alternatives.index(a) for a in self.shape_alts]
-        return full[rows].ravel()
-
-    def natural_shape_matrix(self, shape_block: np.ndarray) -> np.ndarray:
-        return self.family.to_natural(self._full_unconstrained(shape_block))
-
-    # -- pack / unpack --------------------------------------------------------
-
-    def unpack(self, vec: np.ndarray) -> NaturalParams:
+    def arrays(self, vec):
+        """``(beta, tau, gamma)`` at a packed vector: beta a view of ``vec``,
+        tau per alternative (zero at the reference), and the (n_alts,
+        n_shapes) natural shape matrix, or ``None`` for families without
+        shapes."""
         vec = np.asarray(vec, dtype=float).ravel()
         if vec.shape[0] != self.dim:
             raise InvalidParams(f"expected packed vector of length {self.dim}")
-        beta = vec[: self.n_beta].copy()
-        tau = {a: float(v) for a, v in zip(self.free_taus, vec[self.n_beta : self.n_beta + self.n_tau])}
-        tau[self.spec.ref_alt] = 0.0
-        gamma = None
-        shape_block = vec[self.n_beta + self.n_tau :].copy()
-        if self.family.n_shapes_per_alt:
-            nat = self.natural_shape_matrix(shape_block)
-            ns = self.family.n_shapes_per_alt
-            gamma = {
-                a: (float(nat[i, 0]) if ns == 1 else tuple(float(x) for x in nat[i]))
-                for i, a in enumerate(self.alternatives)
-            }
-        return NaturalParams(beta=beta, tau=tau, gamma=gamma, packed_shapes=shape_block)
+        b, t = self.n_beta, self.n_beta + self.n_tau
+        tau = np.zeros(len(self.alternatives))
+        tau[self.tau_rows] = vec[b:t]
+        ns = self.family.n_shapes_per_alt
+        if not ns:
+            return vec[:b], tau, None
+        u = np.zeros((len(self.alternatives), ns))
+        u[self.shape_rows] = vec[t:].reshape(-1, ns)
+        return vec[:b], tau, self.family.to_natural(u)
+
+    def unpack(self, vec: np.ndarray) -> NaturalParams:
+        vec = np.asarray(vec, dtype=float).ravel()
+        beta, tau, nat = self.arrays(vec)
+        gamma = None if nat is None else {
+            a: (g[0] if len(g) == 1 else tuple(g))
+            for a, g in zip(self.alternatives, nat.tolist())
+        }
+        return NaturalParams(
+            beta=beta.copy(),
+            tau=dict(zip(self.alternatives, tau.tolist())),
+            gamma=gamma,
+            packed_shapes=vec[self.n_beta + self.n_tau :].copy(),
+        )
 
     def pack(self, params: NaturalParams) -> np.ndarray:
         vec = np.empty(self.dim)
         vec[: self.n_beta] = params.beta
-        vec[self.n_beta : self.n_beta + self.n_tau] = [
-            float(params.tau.get(a, 0.0)) for a in self.free_taus
-        ]
+        vec[self.n_beta : self.n_beta + self.n_tau] = params.tau_vector(
+            self.alternatives
+        )[self.tau_rows]
         if self.family.n_shapes_per_alt:
             if params.packed_shapes is not None:
                 vec[self.n_beta + self.n_tau :] = params.packed_shapes
@@ -301,7 +301,7 @@ class Packing:
                 if self.shape_ref is not None:
                     # fix the gauge: the reference alternative's shape is 0
                     full = full - full[self.alternatives.index(self.shape_ref)]
-                vec[self.n_beta + self.n_tau :] = self._free_entries(full)
+                vec[self.n_beta + self.n_tau :] = full[self.shape_rows].ravel()
         return vec
 
     def shape_gradient(self, t_natural: np.ndarray, nat: np.ndarray) -> np.ndarray:
@@ -309,7 +309,7 @@ class Packing:
 
         ``t_natural`` and ``nat`` are (n_alts, n_shapes).
         """
-        return self._free_entries(self.family.chain_natural(t_natural, nat))
+        return self.family.chain_natural(t_natural, nat)[self.shape_rows].ravel()
 
 
 @dataclass
@@ -430,26 +430,29 @@ def build_design(data: ChoiceDataset, spec: ModelSpec) -> Design:
     )
 
 
-def _s_rows(spec: ModelSpec, params: NaturalParams, X, alt_index, alternatives,
-            grad=False):
+def _s_rows(spec, params, X, alt_index, alternatives, packing=None, grad=False):
     """Total exponent tau + S per row, then dS/dV and dS/dgamma per row (both
-    ``None`` unless ``grad``) and the natural shape matrix."""
+    ``None`` unless ``grad``) and the natural shape matrix. ``params`` is
+    ``NaturalParams`` or a vector packed by ``packing``."""
+    fam = spec.family
+    if isinstance(params, NaturalParams):
+        beta, tau = params.beta, params.tau_vector(alternatives)
+        nat = params.gamma_matrix(alternatives, fam.n_shapes_per_alt)
+    else:
+        beta, tau, nat = packing.arrays(params)
     with np.errstate(over="ignore", invalid="ignore"):  # checked just below
-        V = X @ params.beta
+        V = X @ beta
     if not np.all(np.isfinite(V)):
         raise NonFiniteIndex("systematic index V is NaN or infinite")
-    fam = spec.family
     J = len(alternatives)
     if fam.n_shapes_per_alt:
-        nat = params.gamma_matrix(alternatives, fam.n_shapes_per_alt)
         g_rows = nat[alt_index, 0] if fam.n_shapes_per_alt == 1 else nat[alt_index]
     else:
-        nat, g_rows = None, None
+        g_rows = None
     if grad:
         S, dSdV, dSdg = fam.value(V, g_rows, J, grad=True)
     else:
         S, dSdV, dSdg = fam.value(V, g_rows, J), None, None
-    tau = params.tau_vector(alternatives)
     return S + tau[alt_index], dSdV, dSdg, nat
 
 
@@ -479,7 +482,8 @@ def probabilities(data: ChoiceDataset, spec: ModelSpec, params: NaturalParams) -
 
 def _chosen_logprobs(design: Design, spec, params, grad=False):
     expo, dSdV, dSdg, nat = _s_rows(
-        spec, params, design.X, design.alt_index, design.alternatives, grad
+        spec, params, design.X, design.alt_index, design.alternatives,
+        design.packing, grad,
     )
     P = _softmax_rows(expo, design.obs_ptr, design.row_obs)
     pc = P[design.chosen_rows]
@@ -562,9 +566,7 @@ def gradient_with_design(design: Design, spec, params, use_weights=False) -> np.
     out[: pk.n_beta] = design.X.T @ (resid * dSdV)
 
     g_tau = np.bincount(design.alt_index, weights=resid, minlength=J)
-    out[pk.n_beta : pk.n_beta + pk.n_tau] = [
-        g_tau[design.alternatives.index(a)] for a in pk.free_taus
-    ]
+    out[pk.n_beta : pk.n_beta + pk.n_tau] = g_tau[pk.tau_rows]
 
     if dSdg is not None:
         t = np.column_stack(

@@ -116,7 +116,7 @@ def cross_validate(
             return {"spec": label, "fold": f, "converged": False,
                     "train_ll": np.nan, "test_ll": np.nan}
         test_ll, _ = ll_with_design(
-            design.take(folds[f]), spec, res.params, opts.use_weights
+            design.take(folds[f]), spec, res.packed, opts.use_weights
         )
         return {"spec": label, "fold": f, "converged": res.converged,
                 "train_ll": res.ll, "test_ll": test_ll}

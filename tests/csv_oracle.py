@@ -2,13 +2,15 @@
 column-wise ``load_csv`` and ``write_table`` in :mod:`flexlogit.data`.
 
 ``load_csv`` is the parser as it stood before columns were parsed in one
-call, with two deliberate changes that the column-wise parser shares:
+call, with three deliberate changes that the column-wise parser shares:
 
-* an id cell must hold an integer below 2**63 in magnitude; the old parser
-  truncated ``2.7`` to 2 and let ``inf`` and ``1e30`` escape as a bare
-  ``OverflowError``;
+* an id cell must hold an integer below 2**53 in magnitude; the old parser
+  truncated ``2.7`` to 2, let ``inf`` and ``1e30`` escape as a bare
+  ``OverflowError`` and merged distinct ids that float64 rounds to one value;
 * a cell missing from a short row or a blank line reads as ``''``; the old
-  parser let a bare ``IndexError`` escape.
+  parser let a bare ``IndexError`` escape;
+* a column named twice in the header is a ``DataError``; the old parser read
+  the last column of that name.
 
 Only the tests import this module.
 """
@@ -20,7 +22,7 @@ import csv
 import numpy as np
 
 from flexlogit.data import ChoiceDataset, SchemaMapping
-from flexlogit.errors import MissingColumn, NonNumericCell
+from flexlogit.errors import DataError, MissingColumn, NonNumericCell
 
 
 def load_csv(path, schema: SchemaMapping | None = None) -> ChoiceDataset:
@@ -34,6 +36,9 @@ def load_csv(path, schema: SchemaMapping | None = None) -> ChoiceDataset:
         rows = list(reader)
 
     index = {name: i for i, name in enumerate(header)}
+    for k, name in enumerate(header):
+        if name in header[:k]:
+            raise DataError(f"column {name!r} appears more than once in the header")
     for col in (schema.obs_id, schema.alt_id, schema.chosen):
         if col not in index:
             raise MissingColumn(f"required column {col!r} not in header {header}")
@@ -87,7 +92,7 @@ def load_csv(path, schema: SchemaMapping | None = None) -> ChoiceDataset:
 
 def _parse_int(s):
     v = float(s)
-    if not v.is_integer() or abs(v) >= 2.0**63:
+    if not v.is_integer() or abs(v) >= 2.0**53:
         raise ValueError(s)
     return int(v)
 

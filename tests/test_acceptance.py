@@ -28,6 +28,8 @@ from flexlogit.likelihood import (
     Packing,
     build_design,
     gradient_with_design,
+    ll_by_alternative_with_design,
+    ll_with_design,
     probabilities,
     probabilities_from_design,
 )
@@ -134,6 +136,33 @@ def test_gradients_match_finite_differences_all_families():
                 worst = max(worst, err)
         info["detail"] = (f"max rel err {worst:.2e} over "
                           f"{len(ALL_FAMILIES)}x20 instances (J=4, N=50)")
+
+
+@pytest.mark.parametrize("use_weights", [False, True], ids=["unweighted", "weighted"])
+@pytest.mark.parametrize("family,shape_ref", [(f, None) for f in ALL_FAMILIES]
+                         + [("asym_logit", 1)])
+def test_packed_vectors_evaluate_like_natural_params(family, shape_ref, use_weights):
+    # the compiled evaluators read a packed vector through Packing.arrays; the
+    # NaturalParams path is the oracle, and every kernel must see the same floats
+    rng = np.random.default_rng(11)
+    for _ in range(5):
+        data, spec, _, x = _family_instance(family, rng)
+        if shape_ref is not None:
+            spec = spec_for(family, ref=4, shape_ref=shape_ref)
+        if use_weights:
+            data = ChoiceDataset(
+                obs_ids=data.obs_ids, alt_ids=data.alt_ids, chosen=data.chosen,
+                weights=np.repeat(rng.uniform(0.5, 2.0, data.n_obs), 4),
+                covariates=data.covariates, columns=data.columns,
+            )
+        design = build_design(data, spec)
+        nat = design.packing.unpack(x)
+        assert (ll_with_design(design, spec, x, use_weights)
+                == ll_with_design(design, spec, nat, use_weights))
+        assert np.array_equal(gradient_with_design(design, spec, x, use_weights),
+                              gradient_with_design(design, spec, nat, use_weights))
+        assert (ll_by_alternative_with_design(design, spec, x, use_weights)
+                == ll_by_alternative_with_design(design, spec, nat, use_weights))
 
 
 # ---------------------------------------------------------------------------

@@ -701,6 +701,21 @@ def test_non_numeric_cell_exits_3(ws, tmp_path, capsys):
     assert "data error" in err and "row 3" in err
 
 
+@pytest.mark.parametrize("header,name", [
+    ("obs_id,alt_id,chosen,x,x", "x"),
+    ("obs_id,alt_id,chosen,obs_id,x", "obs_id"),
+])
+def test_repeated_header_name_exits_3(ws, tmp_path, capsys, header, name):
+    bad = tmp_path / "dup.csv"
+    bad.write_text(f"{header}\n1,1,1,0.5,9\n1,2,0,0.6,8\n")
+    rc = main(["estimate", "--data", str(bad), "--spec", str(ws / "mnl.json"),
+               "--out", str(tmp_path / "o")])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert "data error" in err
+    assert f"column {name!r} appears more than once" in err
+
+
 def test_estimation_failure_exits_4(ws, tmp_path, capsys):
     # V = 0 everywhere at the default start violates the V > 0 domain
     rc = main(["estimate", *base(ws), "--spec", str(ws / "exp.json"),

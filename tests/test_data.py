@@ -173,15 +173,41 @@ def test_csv_errors(tmp_path):
     (("2.7", "2.2"), "obs_id", "'2.7'"),
     (("inf", "inf"), "obs_id", "'inf'"),
     (("1e30", "1e30"), "obs_id", "'1e30'"),
-], ids=["fraction", "inf", "1e30"])
+    (("9007199254740993", "9007199254740992"), "obs_id", "'9007199254740993'"),
+    (("-9007199254740992", "x"), "obs_id", "'-9007199254740992'"),
+], ids=["fraction", "inf", "1e30", "2**53 column", "2**53 cell"])
 def test_id_cells_must_hold_integers(tmp_path, cells, col, bad):
     # 2.7 and 2.2 used to load as one observation 2; inf and 1e30 escaped as
-    # a bare OverflowError
+    # a bare OverflowError; 2**53 + 1 and 2**53 both read as the float 2**53
+    # and merged into one observation. The "cell" case fails the one-call
+    # column parse on "x", so the per-cell parser must apply the bound too.
     p = tmp_path / "ids.csv"
     p.write_text(f"obs_id,alt_id,chosen,x\n{cells[0]},1,1,0.5\n{cells[1]},2,0,0.6\n")
     with pytest.raises(NonNumericCell) as exc:
         load_csv(p)
     assert str(exc.value) == f"row 2, column {col!r}: cannot parse {bad} as integer"
+
+
+def test_ids_below_2_53_load_exactly(tmp_path):
+    p = tmp_path / "ids.csv"
+    top = 2**53 - 1
+    p.write_text(f"obs_id,alt_id,chosen,x\n{top},1,1,0.5\n{top},2,0,0.6\n"
+                 f"{-top},1,0,0.7\n{-top},2,1,0.8\n")
+    d = load_csv(p)
+    assert d.obs_ids.tolist() == [-top, -top, top, top]
+
+
+@pytest.mark.parametrize("header,name", [
+    ("obs_id,alt_id,chosen,x,x", "x"),
+    ("obs_id,alt_id,chosen,obs_id,x", "obs_id"),
+])
+def test_repeated_header_name_is_a_data_error(tmp_path, header, name):
+    # the last column of a repeated name used to be read into both
+    p = tmp_path / "dup.csv"
+    p.write_text(f"{header}\n1,1,1,0.5,9\n1,2,0,0.6,8\n")
+    with pytest.raises(DataError) as exc:
+        load_csv(p)
+    assert str(exc.value) == f"column {name!r} appears more than once in the header"
 
 
 @pytest.mark.parametrize("body,message", [

@@ -15,7 +15,7 @@ from flexlogit.likelihood import (
     log_likelihood,
 )
 
-from conftest import mnl_spec, spec_for, toy_dataset
+from conftest import mnl_spec, scobit_dataset, spec_for, toy_dataset
 
 LN4 = 1.3862943611198906
 
@@ -201,3 +201,22 @@ def test_fd_hessian_matches_score_differences(mnl_sim_small):
         - gradient_with_design(design, spec, pk.unpack(x - e))
     ) / 2e-5
     np.testing.assert_allclose(H[:, 0], col, rtol=1e-6, atol=1e-6)
+
+
+def test_fit_unpacks_once(monkeypatch):
+    # evaluations read packed vectors directly; only the result's params are
+    # unpacked, and fd_hessian differences packed vectors without unpacking
+    calls = []
+    unpack = Packing.unpack
+
+    def counted(self, vec):
+        calls.append(1)
+        return unpack(self, vec)
+
+    monkeypatch.setattr(Packing, "unpack", counted)
+    data, spec = scobit_dataset(100, 0), spec_for("scobit")
+    res = fit(data, spec)
+    assert "newton" in res.optimizer_used
+    assert len(calls) == 1
+    fd_hessian(data, spec, res.params)
+    assert len(calls) == 1
