@@ -470,8 +470,12 @@ def simulate(config: SimulationConfig) -> ChoiceDataset:
     observation the stream is consumed in a fixed order: covariates first
     (row-major over alternatives and columns), then one uniform for the
     choice draw.
+
+    Raises before any draw: ``InvalidParams`` for true parameters outside the
+    spec or its family's domain or under two alternatives, ``SpecDataMismatch``
+    for a reference alternative not among them, and ``ValueError`` otherwise.
     """
-    from .likelihood import probabilities_from_design, build_design_matrix
+    from .likelihood import Packing, _compile, probabilities_from_design, validate_params
     from .errors import InvalidParams
 
     if config.n_obs < 1:
@@ -481,6 +485,8 @@ def simulate(config: SimulationConfig) -> ChoiceDataset:
     alts = tuple(int(a) for a in config.alternatives)
     if len(alts) < 2:
         raise InvalidParams("need at least two alternatives")
+    packing = Packing(config.spec, alts)
+    validate_params(config.spec, config.true_params, alts)
     n, J, C = config.n_obs, len(alts), len(config.covariates)
 
     lows = np.array([c.low for c in config.covariates])
@@ -500,13 +506,9 @@ def simulate(config: SimulationConfig) -> ChoiceDataset:
     alt_ids = np.tile(np.array(alts, dtype=np.int64), n)
     columns = tuple(c.name for c in config.covariates)
 
-    X, alt_index = build_design_matrix(
-        config.spec, cov, columns, alt_ids, alts
-    )
-    P = probabilities_from_design(
-        config.spec, config.true_params, X, alt_index, alts,
-        obs_ptr=np.arange(0, n * J + 1, J), row_obs=np.repeat(np.arange(n), J),
-    )
+    design = _compile(packing, cov, columns, alt_ids, np.arange(0, n * J + 1, J),
+                      chosen=np.zeros(n * J, dtype=bool), weights_obs=np.ones(n))
+    P = probabilities_from_design(design, config.true_params)
     cum = np.cumsum(P.reshape(n, J), axis=1)
     pick = np.sum(cum < u_choice[:, None], axis=1)
     pick = np.minimum(pick, J - 1)

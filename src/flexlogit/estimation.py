@@ -37,6 +37,7 @@ from .errors import (
     DomainViolation,
     NonFiniteIndex,
     NonFiniteObjectiveAtInit,
+    SpecDataMismatch,
 )
 from .likelihood import (
     Design,
@@ -133,10 +134,21 @@ class _WarmStart:
     inv_hessian: np.ndarray
 
 
+def _check_spec(data: ChoiceDataset | Design, spec: ModelSpec) -> None:
+    if isinstance(data, Design) and data.spec != spec:
+        raise SpecDataMismatch("the design was compiled against another spec")
+
+
+def _design(data: ChoiceDataset | Design, spec: ModelSpec) -> Design:
+    _check_spec(data, spec)
+    return data if isinstance(data, Design) else build_design(data, spec)
+
+
 def default_init(data: ChoiceDataset | Design, spec: ModelSpec) -> np.ndarray:
     """Packed starting point: beta = 0, share-matched intercepts, flat shapes.
 
-    ``data`` may be a dataset or a design compiled from one.
+    ``data`` may be a dataset or a design compiled from one against ``spec``;
+    a design compiled against another spec raises ``SpecDataMismatch``.
 
     With S(V=0) constant across alternatives, intercepts
     tau_j = log(share_j / share_ref) reproduce the observed chosen shares
@@ -144,6 +156,7 @@ def default_init(data: ChoiceDataset | Design, spec: ModelSpec) -> np.ndarray:
     alternative is never chosen the log-ratio is undefined; the init falls
     back to all-zero intercepts with a warning.
     """
+    _check_spec(data, spec)
     pk = Packing(spec, data.alternatives)
     vec = np.zeros(pk.dim)
     shares = observed_shares(data)
@@ -162,20 +175,20 @@ def default_init(data: ChoiceDataset | Design, spec: ModelSpec) -> np.ndarray:
     return vec
 
 
-def _objective(design: Design, spec, opts):
+def _objective(design: Design, opts):
     # Exploratory line-search points may overflow shapes or violate a
     # restricted domain; both simply mean "reject this point".
     def f(x):
         with np.errstate(all="ignore"):
             try:
-                ll, _ = ll_with_design(design, spec, x, opts.use_weights)
+                ll, _ = ll_with_design(design, x, opts.use_weights)
             except (DomainViolation, NonFiniteIndex):
                 return np.inf
         return -ll if np.isfinite(ll) else np.inf
 
     def g(x):
         with np.errstate(all="ignore"):
-            return -gradient_with_design(design, spec, x, opts.use_weights)
+            return -gradient_with_design(design, x, opts.use_weights)
 
     return f, g
 
@@ -283,15 +296,12 @@ def _fd_hessian_of(g, x, step=HESSIAN_STEP):
 
 
 def fd_hessian(design_or_data, spec, params, use_weights=False) -> np.ndarray:
-    """Finite-difference Hessian of the log-likelihood at ``params``."""
-    design = (
-        design_or_data
-        if isinstance(design_or_data, Design)
-        else build_design(design_or_data, spec)
-    )
+    """Finite-difference Hessian of the log-likelihood at ``params``; as in
+    ``fit``, a design compiled against another spec raises ``SpecDataMismatch``."""
+    design = _design(design_or_data, spec)
 
     def grad_ll(x):
-        return gradient_with_design(design, spec, x, use_weights)
+        return gradient_with_design(design, x, use_weights)
 
     return _fd_hessian_of(grad_ll, design.packing.pack(params))
 
@@ -338,10 +348,11 @@ def fit(
     share-matched default is used. With ``multistart=k`` the cascade also runs
     from k seeded perturbations of the init and the best final
     log-likelihood wins. ``data`` may be a dataset or a design compiled
-    from one against ``spec``; a design is used as is.
+    from one against ``spec``; a design is used as is, and a design compiled
+    against another spec raises ``SpecDataMismatch``.
     """
     opts = options or FitOptions()
-    design = data if isinstance(data, Design) else build_design(data, spec)
+    design = _design(data, spec)
     pk = design.packing
     h0 = None
     if isinstance(init, _WarmStart):
@@ -356,7 +367,7 @@ def fit(
         if x0.shape[0] != pk.dim:
             raise ValueError(f"init has length {x0.shape[0]}, expected {pk.dim}")
 
-    f, g = _objective(design, spec, opts)
+    f, g = _objective(design, opts)
 
     starts = [x0]
     if opts.multistart > 0:
@@ -384,7 +395,7 @@ def fit(
     params = pk.unpack(x)
     # shapes that under- or overflowed at the optimum are not admissible
     validate_params(spec, params, design.alternatives)
-    ll, floored = ll_with_design(design, spec, x, opts.use_weights)
+    ll, floored = ll_with_design(design, x, opts.use_weights)
 
     return EstimationResult(
         spec=spec,
@@ -392,7 +403,7 @@ def fit(
         packed=x,
         param_names=pk.names(),
         ll=ll,
-        ll_by_alt=ll_by_alternative_with_design(design, spec, x, opts.use_weights),
+        ll_by_alt=ll_by_alternative_with_design(design, x, opts.use_weights),
         score=-gx,
         grad_norm_inf=float(np.max(np.abs(gx))),
         status=status,

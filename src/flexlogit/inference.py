@@ -172,7 +172,7 @@ def bootstrap(
     def one_replicate(b: int) -> tuple[np.ndarray, bool]:
         rng = np.random.default_rng(np.random.SeedSequence((seed, b)))
         ids = _resample_ids(data, rng, stratified)
-        return _refit(design.take(np.searchsorted(uniq, ids)), spec, x_hat, opts)
+        return _refit(design.take(np.searchsorted(uniq, ids)), x_hat, opts)
 
     replicate = parallel_map(one_replicate, range(B), threads)
     estimates = np.vstack([r[0] for r in replicate])
@@ -183,11 +183,11 @@ def bootstrap(
         )
 
     n = uniq.shape[0]
-    h0 = _curvature_seed(design, spec, full, opts)
+    h0 = _curvature_seed(design, full, opts)
 
     def one_jackknife(i: int) -> np.ndarray:
         sample = design.take(np.delete(np.arange(n), i))
-        return _refit(sample, spec, x_hat, opts, h0)[0]
+        return _refit(sample, x_hat, opts, h0)[0]
 
     jack = np.vstack(parallel_map(one_jackknife, range(n), threads))
 
@@ -201,10 +201,10 @@ def bootstrap(
     )
 
 
-def _curvature_seed(design, spec, full, opts) -> np.ndarray | None:
+def _curvature_seed(design, full, opts) -> np.ndarray | None:
     """(-H)^-1 at the full-sample estimate, or None when the finite-difference
     -H is not positive definite."""
-    H = fd_hessian(design, spec, full.params, opts.use_weights)
+    H = fd_hessian(design, design.spec, full.params, opts.use_weights)
     try:
         L = np.linalg.cholesky(-H)
     except np.linalg.LinAlgError:
@@ -213,18 +213,18 @@ def _curvature_seed(design, spec, full, opts) -> np.ndarray | None:
     return L_inv.T @ L_inv
 
 
-def _refit(sample, spec, x_hat, opts, h0=None) -> tuple[np.ndarray, bool]:
+def _refit(sample, x_hat, opts, h0=None) -> tuple[np.ndarray, bool]:
     """Warm refit from ``x_hat``, its BFGS stage started from the inverse
     Hessian ``h0`` (the identity when None); a refit that fails or does not
     converge is redone cold from the default init."""
     start = x_hat if h0 is None else _WarmStart(x_hat, h0)
     try:
-        res = fit(sample, spec, init=start, options=opts)
+        res = fit(sample, sample.spec, init=start, options=opts)
     except EstimationError:
         res = None
     if res is None or not res.converged:
         try:
-            res = fit(sample, spec, options=opts)
+            res = fit(sample, sample.spec, options=opts)
         except EstimationError:
             return x_hat.copy(), False
     return res.packed, res.converged

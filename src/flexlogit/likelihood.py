@@ -15,9 +15,10 @@ their natural scale) and is the type at the API boundary. Only ``Packing``
 reads or writes the optimizer's unconstrained vector: the beta block in
 specification order, then free intercepts by ascending alternative id, then
 free unconstrained shapes by ascending alternative id. The compiled
-evaluators take either form and evaluate a packed vector directly.
-``gradient`` returns derivatives in packed order, with the chain rule through
-each family's reparameterization applied.
+evaluators take ``(design, params)``: a ``Design`` carries the spec it was
+compiled against, and params of either form are read, a packed vector
+directly. ``gradient`` returns derivatives in packed order, with the chain
+rule through each family's reparameterization applied.
 """
 
 from __future__ import annotations
@@ -152,7 +153,8 @@ class NaturalParams:
     tau: dict[int, float] = field(default_factory=dict)
     gamma: dict[int, float | tuple[float, float]] | None = None
     # Unconstrained shape block cached by Packing.unpack so that
-    # pack(unpack(v)) round-trips bit-exactly through exp/log pairs.
+    # pack(unpack(v)) round-trips bit-exactly through exp/log pairs; pack
+    # reads it only while it still maps to ``gamma``.
     packed_shapes: np.ndarray | None = None
 
     def __post_init__(self):
@@ -263,12 +265,15 @@ class Packing:
         b, t = self.n_beta, self.n_beta + self.n_tau
         tau = np.zeros(len(self.alternatives))
         tau[self.tau_rows] = vec[b:t]
-        ns = self.family.n_shapes_per_alt
-        if not ns:
+        if not self.family.n_shapes_per_alt:
             return vec[:b], tau, None
-        u = np.zeros((len(self.alternatives), ns))
-        u[self.shape_rows] = vec[t:].reshape(-1, ns)
-        return vec[:b], tau, self.family.to_natural(u)
+        return vec[:b], tau, self._natural_shapes(vec[t:])
+
+    def _natural_shapes(self, block):
+        """Natural shape matrix of a free unconstrained shape block."""
+        u = np.zeros((len(self.alternatives), self.family.n_shapes_per_alt))
+        u[self.shape_rows] = block.reshape(-1, u.shape[1])
+        return self.family.to_natural(u)
 
     def unpack(self, vec: np.ndarray) -> NaturalParams:
         vec = np.asarray(vec, dtype=float).ravel()
@@ -291,12 +296,12 @@ class Packing:
             self.alternatives
         )[self.tau_rows]
         if self.family.n_shapes_per_alt:
-            if params.packed_shapes is not None:
-                vec[self.n_beta + self.n_tau :] = params.packed_shapes
+            nat = params.gamma_matrix(self.alternatives, self.family.n_shapes_per_alt)
+            cached = params.packed_shapes
+            if (cached is not None and cached.shape == (self.n_shape,)
+                    and np.array_equal(self._natural_shapes(cached), nat)):
+                vec[self.n_beta + self.n_tau :] = cached
             else:
-                nat = params.gamma_matrix(
-                    self.alternatives, self.family.n_shapes_per_alt
-                )
                 full = self.family.from_natural(nat)
                 if self.shape_ref is not None:
                     # fix the gauge: the reference alternative's shape is 0
@@ -314,7 +319,7 @@ class Packing:
 
 @dataclass
 class Design:
-    """Dataset compiled against a spec for fast repeated evaluation."""
+    """Dataset compiled against ``packing.spec`` for repeated evaluation."""
 
     X: np.ndarray
     alt_index: np.ndarray
@@ -323,8 +328,25 @@ class Design:
     chosen: np.ndarray
     chosen_rows: np.ndarray
     weights_obs: np.ndarray
-    alternatives: tuple[int, ...]
     packing: Packing
+
+    @classmethod
+    def _of_rows(cls, X, alt_index, obs_ptr, chosen, weights_obs, packing) -> "Design":
+        """Design of these rows; ``row_obs`` and ``chosen_rows`` are derived."""
+        return cls(
+            X=X, alt_index=alt_index, obs_ptr=obs_ptr,
+            row_obs=np.repeat(np.arange(obs_ptr.shape[0] - 1), np.diff(obs_ptr)),
+            chosen=chosen, chosen_rows=np.flatnonzero(chosen),
+            weights_obs=weights_obs, packing=packing,
+        )
+
+    @property
+    def spec(self) -> ModelSpec:
+        return self.packing.spec
+
+    @property
+    def alternatives(self) -> tuple[int, ...]:
+        return self.packing.alternatives
 
     def chosen_alt_by_obs(self) -> np.ndarray:
         return np.asarray(self.alternatives)[self.alt_index[self.chosen_rows]]
@@ -338,24 +360,14 @@ class Design:
         Positions index observations in canonical order and may repeat. The
         arrays equal those ``build_design`` compiles from the matching
         ``ChoiceDataset.resample`` (or, for ascending positions without
-        repeats, ``subset``), row for row. ``alternatives`` and ``packing``
-        stay those of the full data even when the gathered observations never
-        offer some alternative, so one packed vector fits every gather.
+        repeats, ``subset``), row for row. ``packing`` stays that of the full
+        data even when the gathered observations never offer some
+        alternative, so one packed vector fits every gather.
         """
         positions = np.asarray(obs_positions, dtype=np.int64)
         rows, ptr = gather_obs_rows(self.obs_ptr, positions)
-        chosen = self.chosen[rows]
-        return Design(
-            X=self.X[rows],
-            alt_index=self.alt_index[rows],
-            obs_ptr=ptr,
-            row_obs=np.repeat(np.arange(positions.shape[0]), np.diff(ptr)),
-            chosen=chosen,
-            chosen_rows=np.flatnonzero(chosen),
-            weights_obs=self.weights_obs[positions],
-            alternatives=self.alternatives,
-            packing=self.packing,
-        )
+        return Design._of_rows(self.X[rows], self.alt_index[rows], ptr, self.chosen[rows],
+                               self.weights_obs[positions], self.packing)
 
 
 def build_design_matrix(spec: ModelSpec, covariates, columns, alt_ids, alternatives):
@@ -391,6 +403,14 @@ def build_design_matrix(spec: ModelSpec, covariates, columns, alt_ids, alternati
     return X, alt_index
 
 
+def _compile(packing, covariates, columns, alt_ids, obs_ptr, chosen, weights_obs):
+    """Design of rows grouped by ``obs_ptr``; no identification checks."""
+    X, alt_index = build_design_matrix(
+        packing.spec, covariates, columns, alt_ids, packing.alternatives
+    )
+    return Design._of_rows(X, alt_index, obs_ptr, chosen, weights_obs, packing)
+
+
 def build_design(data: ChoiceDataset, spec: ModelSpec) -> Design:
     """Validate the spec against the data and compile evaluation arrays."""
     alternatives = data.alternatives
@@ -405,46 +425,36 @@ def build_design(data: ChoiceDataset, spec: ModelSpec) -> Design:
                 raise SpecDataMismatch(
                     f"coefficient {coef.name!r} references unknown alternatives {sorted(missing)}"
                 )
-    X, alt_index = build_design_matrix(
-        spec, data.covariates, data.columns, data.alt_ids, alternatives
+    design = _compile(
+        Packing(spec, alternatives), data.covariates, data.columns, data.alt_ids,
+        data.obs_ptr, np.asarray(data.chosen), data.obs_weights(),
     )
     # A constant column applied to every alternative duplicates the intercepts.
-    for k, coef in enumerate(spec.coefficients):
+    for coef in spec.coefficients:
         if coef.alts is None and np.ptp(data.column(coef.column)) == 0.0:
             raise SpecDataMismatch(
                 f"coefficient {coef.name!r} applies a constant column to all "
                 "alternatives; it is collinear with the intercepts"
             )
-    ptr = data.obs_ptr
-    row_obs = np.repeat(np.arange(data.n_obs), np.diff(ptr))
-    return Design(
-        X=X,
-        alt_index=alt_index,
-        obs_ptr=ptr,
-        row_obs=row_obs,
-        chosen=np.asarray(data.chosen),
-        chosen_rows=np.flatnonzero(data.chosen),
-        weights_obs=data.obs_weights(),
-        alternatives=alternatives,
-        packing=Packing(spec, alternatives),
-    )
+    return design
 
 
-def _s_rows(spec, params, X, alt_index, alternatives, packing=None, grad=False):
-    """Total exponent tau + S per row, then dS/dV and dS/dgamma per row (both
-    ``None`` unless ``grad``) and the natural shape matrix. ``params`` is
-    ``NaturalParams`` or a vector packed by ``packing``."""
-    fam = spec.family
+def _forward(design: Design, params, grad=False):
+    """Per-row probabilities, floored log chosen-probabilities and the number
+    floored, dS/dV and dS/dgamma per row (``None`` unless ``grad``) and the
+    natural shape matrix at ``params``, ``NaturalParams`` or packed."""
+    pk = design.packing
+    fam = pk.family
     if isinstance(params, NaturalParams):
-        beta, tau = params.beta, params.tau_vector(alternatives)
-        nat = params.gamma_matrix(alternatives, fam.n_shapes_per_alt)
+        beta, tau = params.beta, params.tau_vector(pk.alternatives)
+        nat = params.gamma_matrix(pk.alternatives, fam.n_shapes_per_alt)
     else:
-        beta, tau, nat = packing.arrays(params)
+        beta, tau, nat = pk.arrays(params)
     with np.errstate(over="ignore", invalid="ignore"):  # checked just below
-        V = X @ beta
+        V = design.X @ beta
     if not np.all(np.isfinite(V)):
         raise NonFiniteIndex("systematic index V is NaN or infinite")
-    J = len(alternatives)
+    alt_index, J = design.alt_index, len(pk.alternatives)
     if fam.n_shapes_per_alt:
         g_rows = nat[alt_index, 0] if fam.n_shapes_per_alt == 1 else nat[alt_index]
     else:
@@ -453,43 +463,31 @@ def _s_rows(spec, params, X, alt_index, alternatives, packing=None, grad=False):
         S, dSdV, dSdg = fam.value(V, g_rows, J, grad=True)
     else:
         S, dSdV, dSdg = fam.value(V, g_rows, J), None, None
-    return S + tau[alt_index], dSdV, dSdg, nat
-
-
-def _softmax_rows(expo: np.ndarray, obs_ptr: np.ndarray, row_obs: np.ndarray):
-    starts = obs_ptr[:-1]
+    # Row-sized temporaries are freed once read, and the gradient still gets
+    # the floored log-probabilities it never reads: under glibc's dynamic mmap
+    # threshold, longer lifetimes or fewer arrays made 60k-row fits slower.
+    expo = S + tau[alt_index]
+    del V, S, g_rows
+    starts, row_obs = design.obs_ptr[:-1], design.row_obs
     m = np.maximum.reduceat(expo, starts)
     e = np.exp(expo - m[row_obs])
-    denom = np.add.reduceat(e, starts)
-    return e / denom[row_obs]
+    P = e / np.add.reduceat(e, starts)[row_obs]
+    del m, e
+    pc = P[design.chosen_rows]
+    floored = int(np.sum(pc < PROB_FLOOR))
+    logp = np.log(np.maximum(pc, PROB_FLOOR))
+    return P, logp, floored, dSdV, dSdg, nat
 
 
-def probabilities_from_design(spec, params, X, alt_index, alternatives, obs_ptr, row_obs):
-    """Per-row probabilities from compiled arrays; ``row_obs`` is each row's
-    observation position, as ``Design.row_obs`` holds it."""
-    expo, _, _, _ = _s_rows(spec, params, X, alt_index, alternatives)
-    return _softmax_rows(expo, np.asarray(obs_ptr), row_obs)
+def probabilities_from_design(design: Design, params) -> np.ndarray:
+    """Per-row probabilities on the compiled rows; no parameter checks."""
+    return _forward(design, params)[0]
 
 
 def probabilities(data: ChoiceDataset, spec: ModelSpec, params: NaturalParams) -> np.ndarray:
     """Per-row choice probabilities; rows of an observation sum to one."""
     validate_params(spec, params, data.alternatives)
-    d = build_design(data, spec)
-    return probabilities_from_design(
-        spec, params, d.X, d.alt_index, d.alternatives, d.obs_ptr, d.row_obs
-    )
-
-
-def _chosen_logprobs(design: Design, spec, params, grad=False):
-    expo, dSdV, dSdg, nat = _s_rows(
-        spec, params, design.X, design.alt_index, design.alternatives,
-        design.packing, grad,
-    )
-    P = _softmax_rows(expo, design.obs_ptr, design.row_obs)
-    pc = P[design.chosen_rows]
-    floored = int(np.sum(pc < PROB_FLOOR))
-    logp = np.log(np.maximum(pc, PROB_FLOOR))
-    return logp, P, dSdV, dSdg, nat, floored
+    return probabilities_from_design(build_design(data, spec), params)
 
 
 def log_likelihood(
@@ -505,13 +503,12 @@ def log_likelihood(
     diagnostics.
     """
     validate_params(spec, params, data.alternatives)
-    d = build_design(data, spec)
-    ll, _ = ll_with_design(d, spec, params, use_weights)
+    ll, _ = ll_with_design(build_design(data, spec), params, use_weights)
     return ll
 
 
-def ll_with_design(design: Design, spec, params, use_weights=False):
-    logp, _, _, _, _, floored = _chosen_logprobs(design, spec, params)
+def ll_with_design(design: Design, params, use_weights=False):
+    _, logp, floored, *_ = _forward(design, params)
     w = design.weights_obs if use_weights else 1.0
     return float(np.sum(w * logp)), floored
 
@@ -524,15 +521,11 @@ def ll_by_alternative(
 ) -> dict[int, float]:
     """Log-likelihood split by the chosen alternative; values sum to the total."""
     validate_params(spec, params, data.alternatives)
-    return ll_by_alternative_with_design(
-        build_design(data, spec), spec, params, use_weights
-    )
+    return ll_by_alternative_with_design(build_design(data, spec), params, use_weights)
 
 
-def ll_by_alternative_with_design(
-    design: Design, spec, params, use_weights=False
-) -> dict[int, float]:
-    logp, *_ = _chosen_logprobs(design, spec, params)
+def ll_by_alternative_with_design(design: Design, params, use_weights=False) -> dict[int, float]:
+    _, logp, *_ = _forward(design, params)
     w = design.weights_obs if use_weights else np.ones(design.weights_obs.shape[0])
     contrib = w * logp
     chosen_alt = design.chosen_alt_by_obs()
@@ -549,16 +542,13 @@ def gradient(
 ) -> np.ndarray:
     """Analytic score in packed order (beta, free taus, free shapes)."""
     validate_params(spec, params, data.alternatives)
-    d = build_design(data, spec)
-    return gradient_with_design(d, spec, params, use_weights)
+    return gradient_with_design(build_design(data, spec), params, use_weights)
 
 
-def gradient_with_design(design: Design, spec, params, use_weights=False) -> np.ndarray:
-    _, P, dSdV, dSdg, nat, _ = _chosen_logprobs(design, spec, params, grad=True)
+def gradient_with_design(design: Design, params, use_weights=False) -> np.ndarray:
+    P, _, _, dSdV, dSdg, nat = _forward(design, params, grad=True)
     J = len(design.alternatives)
-    w_rows = (
-        design.weights_obs[design.row_obs] if use_weights else 1.0
-    )
+    w_rows = design.weights_obs[design.row_obs] if use_weights else 1.0
     resid = (design.chosen.astype(float) - P) * w_rows
 
     pk = design.packing

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -203,39 +203,38 @@ def _edited_covariates(data: ChoiceDataset, scenario: Scenario, values,
             f"scenario sweeps {scenario.sweep_parameter!r}; pass its value"
         )
     cov = np.array(data.covariates)
-    for edit, j, mask in _edit_targets(data, scenario) if targets is None else targets:
-        amount = edit.amount.evaluate(data, values)[mask]
-        if edit.op == "add":
-            cov[mask, j] += amount
-        elif edit.op == "multiply":
-            cov[mask, j] *= amount
-        elif edit.op == "set":
-            cov[mask, j] = amount
-        else:  # subtract_floor0
-            cov[mask, j] = np.maximum(cov[mask, j] - amount, 0.0)
+    # an overflowing amount is caught by the finiteness checks downstream
+    with np.errstate(over="ignore", invalid="ignore"):
+        for edit, j, mask in _edit_targets(data, scenario) if targets is None else targets:
+            amount = edit.amount.evaluate(data, values)[mask]
+            if edit.op == "add":
+                cov[mask, j] += amount
+            elif edit.op == "multiply":
+                cov[mask, j] *= amount
+            elif edit.op == "set":
+                cov[mask, j] = amount
+            else:  # subtract_floor0
+                cov[mask, j] = np.maximum(cov[mask, j] - amount, 0.0)
     return cov
 
 
-def _probabilities_at(data, design, spec, params, cov) -> np.ndarray:
+def _probabilities_at(data, design, params, cov) -> np.ndarray:
     """Probabilities with ``cov`` as the covariates, on the compiled rows; the
     identification checks ran on the unedited data, so ``cov`` may not pass them."""
     if not np.all(np.isfinite(cov)):
         raise NonNumericCell("covariates contain NaN or infinite entries")
-    X, _ = build_design_matrix(spec, cov, data.columns, data.alt_ids, design.alternatives)
-    return probabilities_from_design(
-        spec, params, X, design.alt_index, design.alternatives, design.obs_ptr,
-        design.row_obs,
-    )
+    X, _ = build_design_matrix(design.spec, cov, data.columns, data.alt_ids, design.alternatives)
+    return probabilities_from_design(replace(design, X=X), params)
 
 
-def _share_tables(data, design, spec, params, scenario, points, targets=None):
+def _share_tables(data, design, params, scenario, points, targets=None):
     """Yields {alt: (expected count, share)} at each values dict in ``points``;
     the per-alternative rows and the total weight are found once."""
     total = float(np.sum(data.obs_weights()))
     masks = [(int(a), data.alt_ids == a) for a in data.alternatives]
     for values in points:
         cov = _edited_covariates(data, scenario, values, targets) if scenario else data.covariates
-        P = _probabilities_at(data, design, spec, params, cov)
+        P = _probabilities_at(data, design, params, cov)
         counts = {a: float(np.sum(data.weights[m] * P[m])) for a, m in masks}
         yield {a: (c, c / total) for a, c in counts.items()}
 
@@ -253,7 +252,7 @@ def enumerate_shares(
     the total observation weight, the shares to one.
     """
     validate_params(spec, params, data.alternatives)
-    return next(_share_tables(data, build_design(data, spec), spec, params, scenario, [values]))
+    return next(_share_tables(data, build_design(data, spec), params, scenario, [values]))
 
 
 def sweep(
@@ -268,7 +267,7 @@ def sweep(
     validate_params(spec, params, data.alternatives)
     design = build_design(data, spec)
     grid = scenario.sweep_grid
-    tables = _share_tables(data, design, spec, params, scenario,
+    tables = _share_tables(data, design, params, scenario,
                            [{scenario.sweep_parameter: v} for v in grid],
                            _edit_targets(data, scenario))
     return [{"value": float(v), "by_alt": t} for v, t in zip(grid, tables)]
@@ -358,8 +357,8 @@ def select_targets(
     target_rows = data.alt_ids == problem.target_alt
     cov = _pass_edited(problem, designs[0].row_obs, target_rows)
     gain, gain_truth = (
-        _probabilities_at(data, d, m.spec, m.params, cov)[target_rows]
-        - _probabilities_at(data, d, m.spec, m.params, data.covariates)[target_rows]
+        _probabilities_at(data, d, m.params, cov)[target_rows]
+        - probabilities_from_design(d, m.params)[target_rows]
         for d, m in zip(designs, models)
     )
     # only observations that offer the target alternative are ranked

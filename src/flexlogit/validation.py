@@ -107,21 +107,19 @@ def cross_validate(
     designs = {label: build_design(data, spec) for label, spec in specs.items()}
 
     def one_cell(job):
-        label, spec, f = job
+        label, f = job
         design = designs[label]
         train = design.take(np.setdiff1d(np.arange(uniq.shape[0]), folds[f]))
         try:
-            res = fit(train, spec, options=opts)
+            res = fit(train, design.spec, options=opts)
         except EstimationError:
             return {"spec": label, "fold": f, "converged": False,
                     "train_ll": np.nan, "test_ll": np.nan}
-        test_ll, _ = ll_with_design(
-            design.take(folds[f]), spec, res.packed, opts.use_weights
-        )
+        test_ll, _ = ll_with_design(design.take(folds[f]), res.packed, opts.use_weights)
         return {"spec": label, "fold": f, "converged": res.converged,
                 "train_ll": res.ll, "test_ll": test_ll}
 
-    jobs = [(label, spec, f) for label, spec in specs.items() for f in range(plan.k)]
+    jobs = [(label, f) for label in specs for f in range(plan.k)]
     rows = parallel_map(one_cell, jobs, threads)
 
     mean_test, failures = {}, {}

@@ -111,7 +111,7 @@ def packed_fd_gradient(data, spec, x, use_weights=False, rel_step=1e-6):
     from flexlogit.likelihood import build_design
 
     design = build_design(data, spec)
-    f, _ = _objective(design, spec, SimpleNamespace(use_weights=use_weights))
+    f, _ = _objective(design, SimpleNamespace(use_weights=use_weights))
     out = np.empty_like(x)
     for m in range(x.shape[0]):
         h = rel_step * max(1.0, abs(float(x[m])))

@@ -127,8 +127,7 @@ def test_gradients_match_finite_differences_all_families():
         for family in ALL_FAMILIES:
             for _ in range(20):
                 data, spec, pk, x = _family_instance(family, rng)
-                g = gradient_with_design(build_design(data, spec), spec,
-                                         pk.unpack(x))
+                g = gradient_with_design(build_design(data, spec), pk.unpack(x))
                 g_fd = packed_fd_gradient(data, spec, x)
                 err = float(np.max(np.abs(g - g_fd)
                                    / np.maximum(1.0, np.abs(g_fd))))
@@ -157,12 +156,12 @@ def test_packed_vectors_evaluate_like_natural_params(family, shape_ref, use_weig
             )
         design = build_design(data, spec)
         nat = design.packing.unpack(x)
-        assert (ll_with_design(design, spec, x, use_weights)
-                == ll_with_design(design, spec, nat, use_weights))
-        assert np.array_equal(gradient_with_design(design, spec, x, use_weights),
-                              gradient_with_design(design, spec, nat, use_weights))
-        assert (ll_by_alternative_with_design(design, spec, x, use_weights)
-                == ll_by_alternative_with_design(design, spec, nat, use_weights))
+        assert (ll_with_design(design, x, use_weights)
+                == ll_with_design(design, nat, use_weights))
+        assert np.array_equal(gradient_with_design(design, x, use_weights),
+                              gradient_with_design(design, nat, use_weights))
+        assert (ll_by_alternative_with_design(design, x, use_weights)
+                == ll_by_alternative_with_design(design, nat, use_weights))
 
 
 # ---------------------------------------------------------------------------
@@ -587,9 +586,7 @@ def test_stability_extreme_arguments():
             patterns += [rng.uniform(-50.0, 50.0, size=pk.dim)
                          for _ in range(4)]
             for x in patterns:
-                P = probabilities_from_design(spec, pk.unpack(x), d.X,
-                                              d.alt_index, d.alternatives,
-                                              d.obs_ptr, d.row_obs)
+                P = probabilities_from_design(d, pk.unpack(x))
                 assert np.all(np.isfinite(P))
                 assert P.min() >= 0.0 and P.max() <= 1.0
                 sums = np.add.reduceat(P, data.obs_ptr[:-1])

@@ -393,6 +393,20 @@ def test_simulate_bytes_are_unchanged(tmp_path):
     assert (tmp_path / "s" / "data.csv").read_bytes() == SIM_3_OBS_BYTES
 
 
+@pytest.mark.parametrize("edit", [
+    {"spec": dict(SIM_CONFIG["spec"], transform="scobit"),
+     "true_params": dict(SIM_CONFIG["true_params"],
+                         gamma={"1": -1.0, "2": 1.0, "3": 0.5})},
+    {"spec": dict(SIM_CONFIG["spec"], ref_alt=4)},
+], ids=["scobit-negative-shape", "ref-alt"])
+def test_simulate_bad_true_params_exit_2(tmp_path, capsys, edit):
+    cfg = tmp_path / "sim.json"
+    cfg.write_text(json.dumps(dict(SIM_CONFIG, **edit)))
+    assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "s")]) == 2
+    assert "configuration error" in capsys.readouterr().err
+    assert not (tmp_path / "s" / "data.csv").exists()
+
+
 def test_simulate_then_estimate_recovers_truth(ws, tmp_path):
     cfg = tmp_path / "sim.json"
     cfg.write_text(json.dumps(SIM_CONFIG))

@@ -27,11 +27,13 @@ from flexlogit.errors import (
     MissingColumn,
     MultipleChoicesForObs,
     NoChoiceForObs,
+    InvalidParams,
     NonNumericCell,
+    SpecDataMismatch,
 )
 from flexlogit.likelihood import NaturalParams
 
-from conftest import mnl_spec, toy_dataset
+from conftest import mnl_spec, spec_for, toy_dataset
 
 LN4 = 1.3862943611198906
 
@@ -398,6 +400,27 @@ def test_simulate_matches_analytic_shares():
     shares = observed_shares(d)
     for j, a in enumerate((1, 2, 3)):
         assert shares[a] == pytest.approx(p[j], abs=0.015)
+
+
+@pytest.mark.parametrize("spec,true,error", [
+    (spec_for("scobit"), NaturalParams(beta=[-1.0, 0.8], tau={1: 0.4, 2: -0.2},
+                                       gamma={1: -1.0, 2: 1.0, 3: 0.5}),
+     InvalidParams),
+    (spec_for("mnl"), NaturalParams(beta=[-1.0, 0.8], tau={3: 5.0}), InvalidParams),
+    (spec_for("mnl"), NaturalParams(beta=[-1.0], tau={}), InvalidParams),
+    (spec_for("mnl", ref=4), NaturalParams(beta=[-1.0, 0.8]), SpecDataMismatch),
+    (spec_for("asym_logit", shape_ref=4),
+     NaturalParams(beta=[-1.0, 0.8], gamma={1: 0.0, 2: 0.0, 3: 0.0}),
+     SpecDataMismatch),
+], ids=["scobit-negative-shape", "ref-intercept", "beta-length", "ref-alt",
+        "shape-ref-alt"])
+def test_simulate_checks_true_params(spec, true, error):
+    cfg = SimulationConfig(
+        spec=spec, true_params=true, alternatives=(1, 2, 3), n_obs=50,
+        covariates=(CovariateSpec("time", -2, 2), CovariateSpec("cost", -2, 2)),
+    )
+    with pytest.raises(error):
+        simulate(cfg)
 
 
 def test_simulate_rejects_bad_config():

@@ -1,3 +1,4 @@
+import dataclasses
 import inspect
 
 import numpy as np
@@ -5,9 +6,15 @@ import pytest
 
 import flexlogit
 from flexlogit.data import ChoiceDataset
-from flexlogit.errors import DegenerateSharesWarning, NonFiniteObjectiveAtInit
+from flexlogit.errors import (
+    DegenerateSharesWarning,
+    NonFiniteObjectiveAtInit,
+    SpecDataMismatch,
+)
 from flexlogit.estimation import FitOptions, default_init, fd_hessian, fit
 from flexlogit.likelihood import (
+    Coefficient,
+    ModelSpec,
     NaturalParams,
     Packing,
     build_design,
@@ -52,7 +59,7 @@ def test_default_init_matches_shares():
     assert x0[1] == pytest.approx(LN4, rel=1e-12)
     # intercept-only model: this init is already stationary in tau
     pk = Packing(spec, d.alternatives)
-    g = gradient_with_design(build_design(d, spec), spec, pk.unpack(x0))
+    g = gradient_with_design(build_design(d, spec), pk.unpack(x0))
     assert abs(g[1]) < 1e-12
 
 
@@ -197,8 +204,8 @@ def test_fd_hessian_matches_score_differences(mnl_sim_small):
     e = np.zeros(pk.dim)
     e[0] = 1e-5
     col = (
-        gradient_with_design(design, spec, pk.unpack(x + e))
-        - gradient_with_design(design, spec, pk.unpack(x - e))
+        gradient_with_design(design, pk.unpack(x + e))
+        - gradient_with_design(design, pk.unpack(x - e))
     ) / 2e-5
     np.testing.assert_allclose(H[:, 0], col, rtol=1e-6, atol=1e-6)
 
@@ -220,3 +227,37 @@ def test_fit_unpacks_once(monkeypatch):
     assert len(calls) == 1
     fd_hessian(data, spec, res.params)
     assert len(calls) == 1
+
+
+def test_design_compiled_against_another_spec_is_refused():
+    # the two specs differ only in the alternatives one coefficient enters
+    data = scobit_dataset(100, 0)
+    a = spec_for("scobit")
+    b = ModelSpec("scobit", ref_alt=3, coefficients=(
+        Coefficient("time", "time"), Coefficient("cost", "cost", alts=(1, 2))))
+    design = build_design(data, a)
+    res = fit(design, a)
+    for call in (lambda: fit(design, b),
+                 lambda: fd_hessian(design, b, res.params),
+                 lambda: default_init(design, b)):
+        with pytest.raises(SpecDataMismatch, match="another spec"):
+            call()
+    assert fit(data, b).spec == b
+
+
+def test_pack_recomputes_a_stale_shape_cache():
+    # unpack caches the unconstrained shapes; once gamma no longer matches
+    # them, by replace or by an in-place edit, pack works from gamma
+    data, spec = scobit_dataset(400, 7), spec_for("scobit")
+    res = fit(data, spec)
+    pk = build_design(data, spec).packing
+    shapes = slice(pk.n_beta + pk.n_tau, None)
+    edited = dataclasses.replace(res.params, gamma={1: 3.0, 2: 1.0, 3: 0.5})
+    assert np.array_equal(pk.pack(edited)[shapes], np.log([3.0, 1.0, 0.5]))
+    start = fit(data, spec, init=edited, options=FitOptions(max_iter=0))
+    assert start.ll == pytest.approx(log_likelihood(data, spec, edited), rel=1e-12)
+
+    res.params.gamma[1] = 3.0
+    want = pk.pack(dataclasses.replace(res.params, packed_shapes=None))
+    assert np.array_equal(pk.pack(res.params), want)
+    assert pk.pack(res.params)[shapes][0] == np.log(3.0)

@@ -220,11 +220,11 @@ def _unseeded_run(case, B=6, seed=3):
     reps = [
         _refit(design.take(np.searchsorted(uniq, _resample_ids(
             data, np.random.default_rng(np.random.SeedSequence((seed, b))), True
-        ))), spec, full.packed, FitOptions())[0]
+        ))), full.packed, FitOptions())[0]
         for b in range(B)
     ]
     n = uniq.shape[0]
-    jack = [_refit(design.take(np.delete(np.arange(n), i)), spec, full.packed,
+    jack = [_refit(design.take(np.delete(np.arange(n), i)), full.packed,
                    FitOptions())[0] for i in range(n)]
     return full, np.vstack(reps), np.vstack(jack)
 
@@ -273,7 +273,7 @@ def test_seeded_jackknife_refits_evaluate_less(case, monkeypatch):
     design = build_design(d, spec)
     opts = FitOptions()
     full = fit(design, spec, options=opts)
-    h0 = _curvature_seed(design, spec, full, opts)
+    h0 = _curvature_seed(design, full, opts)
     assert h0 is not None
     calls = [0]
     objective = estimation.ll_with_design
@@ -288,7 +288,7 @@ def test_seeded_jackknife_refits_evaluate_less(case, monkeypatch):
     def evaluations(seed):
         calls[0] = 0
         for i in range(0, n, 5):
-            _refit(design.take(np.delete(np.arange(n), i)), spec, full.packed,
+            _refit(design.take(np.delete(np.arange(n), i)), full.packed,
                    opts, seed)
         return calls[0]
 

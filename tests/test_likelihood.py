@@ -298,7 +298,7 @@ def test_packed_gradient_matches_fd(transform):
     rng = np.random.default_rng(2)
     for _ in range(3):
         x = rng.normal(0, 0.4, pk.dim)
-        got = gradient_with_design(design, spec, pk.unpack(x))
+        got = gradient_with_design(design, pk.unpack(x))
         want = packed_fd_gradient(data, spec, x)
         np.testing.assert_allclose(got, want, rtol=2e-6, atol=2e-7)
 
@@ -309,7 +309,7 @@ def test_packed_gradient_weighted():
     design = build_design(data, spec)
     pk = design.packing
     x = np.random.default_rng(1).normal(0, 0.3, pk.dim)
-    got = gradient_with_design(design, spec, pk.unpack(x), use_weights=True)
+    got = gradient_with_design(design, pk.unpack(x), use_weights=True)
     want = packed_fd_gradient(data, spec, x, use_weights=True)
     np.testing.assert_allclose(got, want, rtol=2e-6, atol=2e-7)
 
@@ -319,7 +319,7 @@ def test_floored_probability_keeps_ll_finite():
     spec = ModelSpec("mnl", ref_alt=2, coefficients=(Coefficient("b", "x"),))
     design = build_design(d, spec)
     ll, floored = ll_with_design(
-        design, spec, NaturalParams(beta=[-800.0], tau={1: 0.0})
+        design, NaturalParams(beta=[-800.0], tau={1: 0.0})
     )
     assert floored == 1
     assert np.isfinite(ll)

@@ -123,7 +123,7 @@ def test_cross_validate_equals_subset_oracle():
         test_ids = rep.plan.fold_obs(row["fold"])
         res = fit(d.subset(np.setdiff1d(uniq, test_ids)), spec)
         test_ll, _ = ll_with_design(
-            build_design(d.subset(test_ids), spec), spec, res.params
+            build_design(d.subset(test_ids), spec), res.params
         )
         assert row == {"spec": row["spec"], "fold": row["fold"],
                        "converged": res.converged, "train_ll": res.ll,
