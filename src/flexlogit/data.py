@@ -184,23 +184,19 @@ class ChoiceDataset:
         return replace(self, covariates=np.array(covariates, dtype=float))
 
     def subset(self, keep_obs: np.ndarray) -> "ChoiceDataset":
-        """Rows belonging to the given observation ids (set semantics)."""
+        """Rows belonging to the given observation ids (set semantics).
+
+        The package gathers rows of a compiled ``Design`` instead; ``subset``
+        and ``resample`` stay public as the reference ``Design.take`` is
+        tested against, and ``bench/tracing.py`` wraps both."""
         mask = np.isin(self.obs_ids, np.asarray(keep_obs))
-        return ChoiceDataset(
-            obs_ids=self.obs_ids[mask],
-            alt_ids=self.alt_ids[mask],
-            chosen=self.chosen[mask],
-            weights=self.weights[mask],
-            covariates=self.covariates[mask],
-            columns=self.columns,
-        )
+        return self._of_rows(mask, self.obs_ids[mask])
 
     def resample(self, obs_order: np.ndarray) -> "ChoiceDataset":
         """Multiset of observations (with repeats), renumbered 0..n-1.
 
-        Used by bootstrap resampling: each occurrence of an observation id in
-        ``obs_order`` becomes a fresh observation in the result. An id not in
-        the data raises ``KeyError``.
+        Each occurrence of an observation id in ``obs_order`` becomes a fresh
+        observation in the result. An id not in the data raises ``KeyError``.
         """
         uniq = self.unique_obs()
         obs_order = np.asarray(obs_order)
@@ -208,8 +204,12 @@ class ChoiceDataset:
         if not np.array_equal(uniq.take(positions, mode="clip"), obs_order):
             raise KeyError("resample names an observation id not in the data")
         rows, ptr = gather_obs_rows(self._obs_ptr, positions)
+        return self._of_rows(rows, np.repeat(np.arange(positions.shape[0]), np.diff(ptr)))
+
+    def _of_rows(self, rows, obs_ids) -> "ChoiceDataset":
+        """Dataset of ``rows`` (a mask or indices), numbered ``obs_ids``."""
         return ChoiceDataset(
-            obs_ids=np.repeat(np.arange(positions.shape[0]), np.diff(ptr)),
+            obs_ids=obs_ids,
             alt_ids=self.alt_ids[rows],
             chosen=self.chosen[rows],
             weights=self.weights[rows],

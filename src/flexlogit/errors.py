@@ -79,6 +79,10 @@ class NonFiniteObjectiveAtInit(EstimationError):
     """The log-likelihood is not finite at the starting point."""
 
 
+class InadmissibleOptimum(EstimationError):
+    """The best point found violates the family's admissible set."""
+
+
 # -- inference ------------------------------------------------------------------
 
 class InferenceError(FlexLogitError):

@@ -35,6 +35,8 @@ from .data import ChoiceDataset, observed_shares
 from .errors import (
     DegenerateSharesWarning,
     DomainViolation,
+    InadmissibleOptimum,
+    InvalidParams,
     NonFiniteIndex,
     NonFiniteObjectiveAtInit,
     SpecDataMismatch,
@@ -212,8 +214,8 @@ def _stage_loop(direction_fn, update, f, g, x, fx, gx, opts, state):
     """Shared iteration scaffold; returns (x, fx, gx, iters, status, path).
 
     ``state`` is the stage's memory. BFGS keeps its inverse Hessian in
-    ``state["H"]``: a seed the caller put there, else the identity; every
-    reset goes back to the identity."""
+    ``state["H"]``, which starts as the seed or the identity; every reset goes
+    back to the identity."""
     path = []
     stalls = 0
     for it in range(opts.max_iter):
@@ -243,7 +245,7 @@ def _stage_loop(direction_fn, update, f, g, x, fx, gx, opts, state):
 
 
 def _bfgs_update(state, s, y):
-    H = state["H"]  # set by _bfgs_direction before every step
+    H = state["H"]
     sy = float(s @ y)
     if sy > 1e-10 * np.linalg.norm(s) * np.linalg.norm(y):
         rho = 1.0 / sy
@@ -254,11 +256,7 @@ def _bfgs_update(state, s, y):
 
 
 def _bfgs_direction(x, gx, state):
-    H = state.get("H")
-    if H is None:
-        H = np.eye(x.shape[0])
-        state["H"] = H
-    d = -H @ gx
+    d = -state["H"] @ gx
     if float(gx @ d) >= 0:  # safeguard: fall back to steepest descent
         state["H"] = np.eye(x.shape[0])
         d = -gx
@@ -318,13 +316,14 @@ def _run_cascade(f, g, x0, opts, h0=None):
     total_iters = 0
     stages_used = []
     status = "converged"
+    h_start = np.eye(x.shape[0]) if h0 is None else h0
     stages = (
         ("bfgs", _bfgs_direction, _bfgs_update),
         ("newton", _make_newton_direction(g), None),
         ("ascent", _steepest_direction, None),
     )
     for name, direction, update in stages:
-        state = {"H": h0} if name == "bfgs" else {}
+        state = {"H": h_start} if name == "bfgs" else {}
         x, fx, gx, iters, status, seg = _stage_loop(
             direction, update, f, g, x, fx, gx, opts, state
         )
@@ -349,7 +348,8 @@ def fit(
     from k seeded perturbations of the init and the best final
     log-likelihood wins. ``data`` may be a dataset or a design compiled
     from one against ``spec``; a design is used as is, and a design compiled
-    against another spec raises ``SpecDataMismatch``.
+    against another spec raises ``SpecDataMismatch``. A best point outside
+    the family's admissible set raises ``InadmissibleOptimum``.
     """
     opts = options or FitOptions()
     design = _design(data, spec)
@@ -392,9 +392,13 @@ def fit(
         raise first_error
     x, fx, gx, iters, status, optimizer_used, path = best
 
-    params = pk.unpack(x)
     # shapes that under- or overflowed at the optimum are not admissible
-    validate_params(spec, params, design.alternatives)
+    with np.errstate(over="ignore"):
+        params = pk.unpack(x)
+    try:
+        validate_params(spec, params, design.alternatives)
+    except InvalidParams as e:
+        raise InadmissibleOptimum(f"the optimum found is not admissible: {e}") from e
     ll, floored = ll_with_design(design, x, opts.use_weights)
 
     return EstimationResult(

@@ -123,14 +123,15 @@ class BootstrapRun:
         return int(self.replicate_estimates.shape[0])
 
 
-def _resample_ids(data: ChoiceDataset, rng, stratified: bool) -> np.ndarray:
-    uniq = data.unique_obs()
+def _resample_positions(design, rng, stratified: bool) -> np.ndarray:
+    """Observation positions of one draw; a stratified draw keeps each stratum's size."""
+    n = design.weights_obs.shape[0]
     if not stratified:
-        return rng.choice(uniq, size=uniq.shape[0], replace=True)
-    chosen = data.chosen_alt_by_obs()
+        return rng.choice(n, size=n, replace=True)
+    chosen = design.chosen_alt_by_obs()
     picks = []
-    for a in data.alternatives:
-        stratum = uniq[chosen == a]
+    for a in design.alternatives:
+        stratum = np.flatnonzero(chosen == a)
         if stratum.shape[0]:
             picks.append(rng.choice(stratum, size=stratum.shape[0], replace=True))
     return np.concatenate(picks)
@@ -167,12 +168,10 @@ def bootstrap(
     design = build_design(data, spec)
     full = fit(design, spec, options=opts)
     x_hat = full.packed
-    uniq = data.unique_obs()
 
     def one_replicate(b: int) -> tuple[np.ndarray, bool]:
         rng = np.random.default_rng(np.random.SeedSequence((seed, b)))
-        ids = _resample_ids(data, rng, stratified)
-        return _refit(design.take(np.searchsorted(uniq, ids)), x_hat, opts)
+        return _refit(design.take(_resample_positions(design, rng, stratified)), x_hat, opts)
 
     replicate = parallel_map(one_replicate, range(B), threads)
     estimates = np.vstack([r[0] for r in replicate])
@@ -182,7 +181,7 @@ def bootstrap(
             f"{failures} of {B} bootstrap replicates failed to converge"
         )
 
-    n = uniq.shape[0]
+    n = design.weights_obs.shape[0]
     h0 = _curvature_seed(design, full, opts)
 
     def one_jackknife(i: int) -> np.ndarray:

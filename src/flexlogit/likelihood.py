@@ -414,10 +414,6 @@ def _compile(packing, covariates, columns, alt_ids, obs_ptr, chosen, weights_obs
 def build_design(data: ChoiceDataset, spec: ModelSpec) -> Design:
     """Validate the spec against the data and compile evaluation arrays."""
     alternatives = data.alternatives
-    if spec.ref_alt not in alternatives:
-        raise SpecDataMismatch(
-            f"ref_alt {spec.ref_alt} never appears in the data"
-        )
     for coef in spec.coefficients:
         if coef.alts is not None:
             missing = set(coef.alts) - set(alternatives)
@@ -526,7 +522,7 @@ def ll_by_alternative(
 
 def ll_by_alternative_with_design(design: Design, params, use_weights=False) -> dict[int, float]:
     _, logp, *_ = _forward(design, params)
-    w = design.weights_obs if use_weights else np.ones(design.weights_obs.shape[0])
+    w = design.weights_obs if use_weights else 1.0
     contrib = w * logp
     chosen_alt = design.chosen_alt_by_obs()
     return {

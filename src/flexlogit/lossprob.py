@@ -113,10 +113,8 @@ def prob_from_cpe(
     out_pos = run(pos_sorted, d_loss2_dp)
     out_neg = run(neg_sorted, d_loss2_dp_neg or d_loss2_dp)
     out[pos] = out_pos[np.searchsorted(pos_sorted, grid[pos])]
-    if neg_sorted.size:
-        # neg_sorted is descending; map each grid value back to its solution
-        idx = {float(v): i for i, v in enumerate(neg_sorted)}
-        out[neg] = [out_neg[idx[float(v)]] for v in grid[neg]]
+    # neg_sorted is descending, so its negation is ascending
+    out[neg] = out_neg[np.searchsorted(-neg_sorted, -grid[neg])]
     return out
 
 

@@ -183,7 +183,8 @@ def apply_scenario(
     values: dict[str, float] | None = None,
 ) -> ChoiceDataset:
     """Return an edited copy of the dataset; the input is untouched."""
-    return data.with_covariates(_edited_covariates(data, scenario, values))
+    targets = _edit_targets(data, scenario)
+    return data.with_covariates(_edited_covariates(data, scenario, values, targets))
 
 
 def _edit_targets(data: ChoiceDataset, scenario: Scenario) -> list:
@@ -196,7 +197,7 @@ def _edit_targets(data: ChoiceDataset, scenario: Scenario) -> list:
 
 
 def _edited_covariates(data: ChoiceDataset, scenario: Scenario, values,
-                       targets=None) -> np.ndarray:
+                       targets) -> np.ndarray:
     values = dict(values or {})
     if scenario.sweep_parameter and scenario.sweep_parameter not in values:
         raise SpecError(
@@ -205,7 +206,7 @@ def _edited_covariates(data: ChoiceDataset, scenario: Scenario, values,
     cov = np.array(data.covariates)
     # an overflowing amount is caught by the finiteness checks downstream
     with np.errstate(over="ignore", invalid="ignore"):
-        for edit, j, mask in _edit_targets(data, scenario) if targets is None else targets:
+        for edit, j, mask in targets:
             amount = edit.amount.evaluate(data, values)[mask]
             if edit.op == "add":
                 cov[mask, j] += amount
@@ -227,16 +228,23 @@ def _probabilities_at(data, design, params, cov) -> np.ndarray:
     return probabilities_from_design(replace(design, X=X), params)
 
 
-def _share_tables(data, design, params, scenario, points, targets=None):
-    """Yields {alt: (expected count, share)} at each values dict in ``points``;
-    the per-alternative rows and the total weight are found once."""
+def _share_tables(data, design, params, scenario, points) -> list[dict]:
+    """{alt: (expected count, share)} at each values dict in ``points``; the
+    edit targets, the per-alternative rows and the total weight are found
+    once, before the first point."""
+    targets = _edit_targets(data, scenario) if scenario else None
     total = float(np.sum(data.obs_weights()))
     masks = [(int(a), data.alt_ids == a) for a in data.alternatives]
+    tables = []
     for values in points:
-        cov = _edited_covariates(data, scenario, values, targets) if scenario else data.covariates
-        P = _probabilities_at(data, design, params, cov)
+        if scenario:
+            cov = _edited_covariates(data, scenario, values, targets)
+            P = _probabilities_at(data, design, params, cov)
+        else:
+            P = probabilities_from_design(design, params)
         counts = {a: float(np.sum(data.weights[m] * P[m])) for a, m in masks}
-        yield {a: (c, c / total) for a, c in counts.items()}
+        tables.append({a: (c, c / total) for a, c in counts.items()})
+    return tables
 
 
 def enumerate_shares(
@@ -252,7 +260,7 @@ def enumerate_shares(
     the total observation weight, the shares to one.
     """
     validate_params(spec, params, data.alternatives)
-    return next(_share_tables(data, build_design(data, spec), params, scenario, [values]))
+    return _share_tables(data, build_design(data, spec), params, scenario, [values])[0]
 
 
 def sweep(
@@ -268,8 +276,7 @@ def sweep(
     design = build_design(data, spec)
     grid = scenario.sweep_grid
     tables = _share_tables(data, design, params, scenario,
-                           [{scenario.sweep_parameter: v} for v in grid],
-                           _edit_targets(data, scenario))
+                           [{scenario.sweep_parameter: v} for v in grid])
     return [{"value": float(v), "by_alt": t} for v, t in zip(grid, tables)]
 
 

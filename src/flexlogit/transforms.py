@@ -79,15 +79,15 @@ def expit(x):
 def log_expm1(x):
     """log(e^x - 1) for x > 0 without overflow.
 
-    For x > 34 the result is x + log1p(-e^-x), which is x to within one ulp;
-    below that expm1 is exact enough to take the log directly.
+    For x > 34 the result is x itself: e^-x is below half an ulp of x, so
+    x + log1p(-e^-x) rounds to x. Below that expm1 is exact enough to take
+    the log directly.
     """
     x = np.asarray(x, dtype=float)
-    out = np.empty_like(x)
-    big = x > _ASYMPTOTE
-    out[big] = x[big] + np.log1p(-np.exp(-x[big]))
+    out = x.copy()
+    small = x <= _ASYMPTOTE
     with np.errstate(divide="ignore"):  # x == 0 -> -inf is the correct limit
-        out[~big] = np.log(np.expm1(x[~big]))
+        out[small] = np.log(np.expm1(x[small]))
     return out
 
 
@@ -170,9 +170,9 @@ class MNL(TransformFamily):
 class CLogLog(TransformFamily):
     """S(V) = log(exp(e^V) - 1), the complementary log-log link.
 
-    Branches: for e^V > 34 the subtraction of 1 is below double resolution and
-    S is e^V itself; for V < -34, S collapses to V; in between expm1 is exact.
-    The only failure mode is e^V overflowing, i.e. V > ~709.
+    S is ``log_expm1(e^V)``, which is e^V itself for e^V > 34; for V < -34,
+    S collapses to V. The only failure mode is e^V overflowing, i.e.
+    V > ~709.
     """
 
     name = "cloglog"
@@ -182,11 +182,7 @@ class CLogLog(TransformFamily):
         v = _as_float_array(v)
         self._check_domain(v, ~(v > _EXP_OVERFLOW), "V <= 709 (exp(V) must be finite)")
         y = np.exp(v)
-        out = v.copy()
-        hi = y > _ASYMPTOTE
-        mid = ~hi & (v >= -_ASYMPTOTE)
-        out[hi] = y[hi]
-        out[mid] = np.log(np.expm1(y[mid]))
+        out = np.where(v >= -_ASYMPTOTE, log_expm1(y), v)
         if not grad:
             return out
         # dS/dV = y / (1 - e^-y); underflowed y means the limit slope 1.
@@ -220,14 +216,8 @@ class Scobit(TransformFamily):
         out = np.empty_like(v)
         tiny = a == 0.0
         rest = ~tiny
-        # log(e^a - 1) on the rest, as in log_expm1, keeping log1p(-e^-a) of
-        # the upper tail for the slope
         ur, ar = u[rest], a[rest]
-        big = ar > _ASYMPTOTE
-        tail_fix = np.log1p(-np.exp(-ar[big]))
-        lem = np.empty_like(ar)
-        lem[big] = ar[big] + tail_fix
-        lem[~big] = np.log(np.expm1(ar[~big]))
+        lem = log_expm1(ar)
         out[rest] = -lem
         # a underflows when V is huge or gamma is tiny; there S -> -log(g*u),
         # and if u itself underflowed, u ~ e^-V so -log(u) = V.
@@ -249,8 +239,9 @@ class Scobit(TransformFamily):
         # catastrophic cancellation between huge terms.
         gr = g[rest]
         log_num = np.log(gr) + log_expm1(ur)
+        big = ar > _ASYMPTOTE
         tail = np.empty_like(ar)
-        tail[big] = -ur[big] - tail_fix
+        tail[big] = -ur[big] - np.log1p(-np.exp(-ar[big]))
         tail[~big] = (gr[~big] - 1.0) * ur[~big] - lem[~big]
         dv[rest] = np.exp(log_num + tail)
 

@@ -8,6 +8,9 @@ import flexlogit
 from flexlogit.data import ChoiceDataset
 from flexlogit.errors import (
     DegenerateSharesWarning,
+    EstimationError,
+    InadmissibleOptimum,
+    InvalidParams,
     NonFiniteObjectiveAtInit,
     SpecDataMismatch,
 )
@@ -165,6 +168,19 @@ def test_nonfinite_at_init_raises():
     data = toy_dataset(n_obs=10, seed=2)
     with pytest.raises(NonFiniteObjectiveAtInit):
         fit(data, spec_for("exponential"))
+
+
+def test_inadmissible_optimum_is_an_estimation_error():
+    # exp(-800) underflows: the last uneven_logit shape is 0, outside gamma > 0,
+    # where the log-likelihood is still finite
+    d = scobit_dataset(150, seed=4)
+    spec = spec_for("uneven_logit")
+    x = np.zeros(Packing(spec, d.alternatives).dim)
+    x[-1] = -800.0
+    with pytest.raises(InadmissibleOptimum, match="gamma > 0") as err:
+        fit(d, spec, init=x, options=FitOptions(max_iter=0))
+    assert isinstance(err.value, EstimationError)
+    assert isinstance(err.value.__cause__, InvalidParams)
 
 
 def test_multistart_deterministic(mnl_sim_small):

@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 from types import SimpleNamespace
 
@@ -7,6 +8,7 @@ import pytest
 from flexlogit.data import ChoiceDataset
 from flexlogit.errors import (
     DegenerateDistribution,
+    InadmissibleOptimum,
     NegativeStatBeyondSlack,
     TooManyFailures,
 )
@@ -20,13 +22,14 @@ from flexlogit.inference import (
     lr_test,
     _curvature_seed,
     _refit,
-    _resample_ids,
+    _resample_positions,
 )
 from flexlogit.likelihood import build_design
 from flexlogit.validation import cross_validate, make_folds
 
 from conftest import mnl_spec, scobit_dataset, spec_for, toy_dataset
 from interval_oracle import percentile_interval
+from resample_oracle import resample_ids
 
 ORACLE_FAMILIES = ("mnl", "scobit", "uneven_logit", "asym_logit")
 
@@ -72,7 +75,7 @@ def test_stratified_resample_preserves_class_counts():
     uniq = d.unique_obs()
     by_alt = {a: int(np.sum(chosen == a)) for a in d.alternatives}
     rng = np.random.default_rng(4)
-    ids = _resample_ids(d, rng, stratified=True)
+    ids = resample_ids(d, rng, stratified=True)
     assert ids.shape == uniq.shape
     alt_of = dict(zip(uniq.tolist(), chosen.tolist()))
     got = {a: 0 for a in d.alternatives}
@@ -84,9 +87,24 @@ def test_stratified_resample_preserves_class_counts():
 def test_unstratified_resample_draws_from_all():
     d = toy_dataset(n_obs=60, seed=8)
     rng = np.random.default_rng(4)
-    ids = _resample_ids(d, rng, stratified=False)
+    ids = resample_ids(d, rng, stratified=False)
     assert ids.shape == d.unique_obs().shape
     assert set(ids) <= set(d.unique_obs().tolist())
+
+
+@pytest.mark.parametrize("stratified", [True, False])
+def test_position_draws_equal_id_draws(stratified):
+    """Draws of positions on the design are the id draws of the oracle,
+    located among the sorted observation ids."""
+    d = toy_dataset(n_obs=50, seed=8)
+    d = ChoiceDataset(obs_ids=7 * d.obs_ids + 100, alt_ids=d.alt_ids, chosen=d.chosen,
+                      weights=d.weights, covariates=d.covariates, columns=d.columns)
+    design = build_design(d, mnl_spec())
+    uniq = d.unique_obs()
+    for seed in range(5):
+        ids = resample_ids(d, np.random.default_rng(seed), stratified)
+        got = _resample_positions(design, np.random.default_rng(seed), stratified)
+        assert np.array_equal(got, np.searchsorted(uniq, ids))
 
 
 def test_bootstrap_deterministic_across_threads():
@@ -175,7 +193,7 @@ def test_gathered_refits_equal_rebuilt_datasets(transform):
         assert a.ll == b.ll and a.ll_by_alt == b.ll_by_alt
 
     for b in range(3):
-        ids = _resample_ids(d, np.random.default_rng(b), stratified=True)
+        ids = resample_ids(d, np.random.default_rng(b), stratified=True)
         gathered = design.take(np.searchsorted(uniq, ids))
         rebuilt = d.resample(ids)
         _assert_same_design(gathered, build_design(rebuilt, spec))
@@ -218,7 +236,7 @@ def _unseeded_run(case, B=6, seed=3):
     full = fit(design, spec)
     uniq = data.unique_obs()
     reps = [
-        _refit(design.take(np.searchsorted(uniq, _resample_ids(
+        _refit(design.take(np.searchsorted(uniq, resample_ids(
             data, np.random.default_rng(np.random.SeedSequence((seed, b))), True
         ))), full.packed, FitOptions())[0]
         for b in range(B)
@@ -293,6 +311,20 @@ def test_seeded_jackknife_refits_evaluate_less(case, monkeypatch):
         return calls[0]
 
     assert evaluations(h0) < evaluations(None)
+
+
+def test_refit_from_inadmissible_optimum_falls_back_to_cold_fit():
+    make, spec = SEEDED_CASES["scobit"]
+    spec = dataclasses.replace(spec, transform="uneven_logit")
+    design = build_design(make(), spec)
+    x = np.zeros(design.packing.dim)
+    x[-1] = -800.0  # the last shape underflows to 0 and stays there
+    with pytest.raises(InadmissibleOptimum):
+        fit(design, spec, init=x)
+    packed, converged = _refit(design, x, FitOptions())
+    cold = fit(design, spec)
+    assert converged and cold.converged
+    assert np.array_equal(packed, cold.packed)
 
 
 def test_negative_seeds_are_rejected_before_any_fit(monkeypatch):

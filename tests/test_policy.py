@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import policy_oracle
-from flexlogit import policy
+from flexlogit import likelihood, policy
 from flexlogit.data import ChoiceDataset, CovariateSpec, SimulationConfig, simulate
 from flexlogit.errors import EmptySelection, MissingColumn, NonNumericCell, SpecError
 from flexlogit.estimation import fit
@@ -23,7 +23,7 @@ from flexlogit.policy import (
     sweep,
 )
 
-from conftest import toy_dataset
+from conftest import mnl_spec, toy_dataset
 
 SIGMOID_HALF = 0.37754066879814546  # 1 / (1 + e^0.5)
 
@@ -475,6 +475,28 @@ def test_policy_compiles_each_spec_once(monkeypatch, targeting_fixture):
     reports = select_targets(problem, [500.0, 2000.0, 8000.0])
     assert [r.budget for r in reports] == [500.0, 2000.0, 8000.0]
     assert reports[0].selected_obs.size > 0 and len(calls) == 2
+
+
+def test_enumerate_shares_without_scenario_compiles_x_once(monkeypatch, targeting_fixture):
+    calls = []
+    for module in (policy, likelihood):
+        real = module.build_design_matrix
+
+        def counting(*args, real=real):
+            calls.append(1)
+            return real(*args)
+
+        monkeypatch.setattr(module, "build_design_matrix", counting)
+    m = targeting_fixture.truth_model
+    enumerate_shares(targeting_fixture.data, m.spec, m.params)
+    assert len(calls) == 1
+
+
+def test_sweep_over_empty_grid_checks_edit_columns():
+    d = toy_dataset(n_obs=3, seed=0)
+    sc = Scenario("s", (edit(column="fare", amount="toll"),), sweep_parameter="toll")
+    with pytest.raises(MissingColumn, match="fare"):
+        sweep(d, mnl_spec(), NaturalParams(beta=[0.1, -0.2]), sc)
 
 
 def test_scenario_may_make_generic_column_constant():

@@ -134,6 +134,10 @@ def test_helpers_against_naive():
     np.testing.assert_allclose(log_expm1(y), np.log(np.exp(y) - 1), rtol=1e-10)
     # overflow-safe branch agrees with the asymptote
     assert log_expm1(np.array([700.0]))[0] == pytest.approx(700.0)
+    # beyond 34, x + log1p(-e^-x) rounds to x, and the branch returns x
+    big = np.array([np.nextafter(34.0, np.inf), 34.5, 64.0, 100.0, 700.0, 1e300])
+    assert np.array_equal(big + np.log1p(-np.exp(-big)), big)
+    assert np.array_equal(log_expm1(big), big)
 
 
 def test_naive_formula_agreement():

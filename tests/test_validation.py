@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from flexlogit import estimation
 from flexlogit.errors import KTooLarge, SparseStratumWarning
 from flexlogit.estimation import FitOptions, fit
 from flexlogit.likelihood import build_design, ll_with_design
@@ -108,6 +109,21 @@ def test_cross_validate_counts_failed_folds():
     assert rep.ranking() == ["mnl", "exp"]
     bad_rows = [r for r in rep.rows if r["spec"] == "exp"]
     assert all(not r["converged"] and np.isnan(r["test_ll"]) for r in bad_rows)
+
+
+def test_cross_validate_counts_inadmissible_optima_as_failed(monkeypatch):
+    # every training fit starts where the last uneven_logit shape underflows
+    # to 0, stays there and ends outside gamma > 0
+    def underflowed_shape(design, spec):
+        x = np.zeros(design.packing.dim)
+        x[-1] = -800.0
+        return x
+
+    monkeypatch.setattr(estimation, "default_init", underflowed_shape)
+    d = scobit_dataset(60, seed=2)
+    rep = cross_validate(d, {"u": spec_for("uneven_logit")}, k=3, seed=0)
+    assert rep.failures == {"u": 3}
+    assert all(not r["converged"] and np.isnan(r["test_ll"]) for r in rep.rows)
 
 
 def test_cross_validate_equals_subset_oracle():
