@@ -131,7 +131,7 @@ class ChoiceDataset:
                 f"observation {bad} has more than one chosen alternative"
             )
         # weights constant within observation: take the first row's value
-        w = w[starts][np.repeat(np.arange(starts.shape[0]), np.diff(ptr))]
+        w = w[starts][obs_of_rows(ptr)]
 
         for name, arr in (
             ("obs_ids", obs),
@@ -204,7 +204,7 @@ class ChoiceDataset:
         if not np.array_equal(uniq.take(positions, mode="clip"), obs_order):
             raise KeyError("resample names an observation id not in the data")
         rows, ptr = gather_obs_rows(self._obs_ptr, positions)
-        return self._of_rows(rows, np.repeat(np.arange(positions.shape[0]), np.diff(ptr)))
+        return self._of_rows(rows, obs_of_rows(ptr))
 
     def _of_rows(self, rows, obs_ids) -> "ChoiceDataset":
         """Dataset of ``rows`` (a mask or indices), numbered ``obs_ids``."""
@@ -232,6 +232,11 @@ def gather_obs_rows(obs_ptr: np.ndarray, positions) -> tuple[np.ndarray, np.ndar
     np.cumsum(counts, out=ptr[1:])
     rows = np.arange(ptr[-1]) + np.repeat(starts - ptr[:-1], counts)
     return rows, ptr
+
+
+def obs_of_rows(obs_ptr: np.ndarray) -> np.ndarray:
+    """Observation position of every row, given the row boundaries ``obs_ptr``."""
+    return np.repeat(np.arange(obs_ptr.shape[0] - 1), np.diff(obs_ptr))
 
 
 def load_csv(path, schema: SchemaMapping | None = None) -> ChoiceDataset:
@@ -428,10 +433,7 @@ def observed_shares(data) -> dict[int, float]:
     w = data.obs_weights()
     chosen_alt = data.chosen_alt_by_obs()
     total = float(np.sum(w))
-    shares = {int(a): 0.0 for a in data.alternatives}
-    for a in data.alternatives:
-        shares[int(a)] = float(np.sum(w[chosen_alt == a]) / total)
-    return shares
+    return {int(a): float(np.sum(w[chosen_alt == a]) / total) for a in data.alternatives}
 
 
 # -- simulation ------------------------------------------------------------------

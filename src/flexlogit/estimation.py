@@ -120,7 +120,6 @@ class EstimationResult:
     optimizer_used: str
     ll_path: list[float] = field(default_factory=list)
     n_floored: int = 0
-    alternatives: tuple[int, ...] = ()
 
     @property
     def converged(self) -> bool:
@@ -267,7 +266,7 @@ def _make_newton_direction(g):
     def direction(x, gx, state):
         H = _fd_hessian_of(g, x)
         try:
-            w, Q = np.linalg.eigh(0.5 * (H + H.T))
+            w, Q = np.linalg.eigh(H)
         except np.linalg.LinAlgError:
             return -gx
         floor = 1e-8 * max(1.0, float(np.max(np.abs(w))))
@@ -415,5 +414,4 @@ def fit(
         optimizer_used=optimizer_used,
         ll_path=path,
         n_floored=floored,
-        alternatives=design.alternatives,
     )

@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import ChoiceDataset, gather_obs_rows
+from .data import ChoiceDataset, gather_obs_rows, obs_of_rows
 from .errors import (
     InvalidParams,
     MissingColumn,
@@ -83,7 +83,7 @@ class ModelSpec:
         names = [c.name for c in self.coefficients]
         if len(set(names)) != len(names):
             raise SpecDataMismatch("coefficient names must be unique")
-        if self.shape_ref_alt is not None and self.transform != "asym_logit":
+        if self.shape_ref_alt is not None and not self.family.shape_gauge:
             raise SpecDataMismatch(
                 "shape_ref_alt applies only to the asym_logit transform"
             )
@@ -93,7 +93,7 @@ class ModelSpec:
         return get_family(self.transform)
 
     def effective_shape_ref(self) -> int | None:
-        if self.transform != "asym_logit":
+        if not self.family.shape_gauge:
             return None
         return self.ref_alt if self.shape_ref_alt is None else self.shape_ref_alt
 
@@ -212,9 +212,10 @@ class Packing:
     Layout: beta (specification order), then tau for every non-reference
     alternative ascending, then the unconstrained shape block ascending by
     alternative id (two adjacent slots per alternative for two-shape
-    families; the asym_logit shape of its reference alternative is fixed at
-    zero and omitted). No other code reads or writes this layout; the compiled
-    evaluators read a packed vector through ``arrays``.
+    families; for a family with ``shape_gauge`` (asym_logit) the shape of
+    the reference alternative is fixed at zero and omitted). No other code
+    reads or writes this layout; the compiled evaluators read a packed vector
+    through ``arrays``.
     """
 
     def __init__(self, spec: ModelSpec, alternatives):
@@ -309,13 +310,6 @@ class Packing:
                 vec[self.n_beta + self.n_tau :] = full[self.shape_rows].ravel()
         return vec
 
-    def shape_gradient(self, t_natural: np.ndarray, nat: np.ndarray) -> np.ndarray:
-        """Chain dLL/dgamma (per alt, natural) into the free unconstrained block.
-
-        ``t_natural`` and ``nat`` are (n_alts, n_shapes).
-        """
-        return self.family.chain_natural(t_natural, nat)[self.shape_rows].ravel()
-
 
 @dataclass
 class Design:
@@ -335,7 +329,7 @@ class Design:
         """Design of these rows; ``row_obs`` and ``chosen_rows`` are derived."""
         return cls(
             X=X, alt_index=alt_index, obs_ptr=obs_ptr,
-            row_obs=np.repeat(np.arange(obs_ptr.shape[0] - 1), np.diff(obs_ptr)),
+            row_obs=obs_of_rows(obs_ptr),
             chosen=chosen, chosen_rows=np.flatnonzero(chosen),
             weights_obs=weights_obs, packing=packing,
         )
@@ -561,5 +555,5 @@ def gradient_with_design(design: Design, params, use_weights=False) -> np.ndarra
                 for d in dSdg.reshape(resid.shape[0], -1).T
             ]
         )
-        out[pk.n_beta + pk.n_tau :] = pk.shape_gradient(t, nat)
+        out[pk.n_beta + pk.n_tau :] = pk.family.chain_natural(t, nat)[pk.shape_rows].ravel()
     return out

@@ -45,7 +45,12 @@ __all__ = [
     "select_targets",
 ]
 
-_OPS = ("add", "multiply", "set", "subtract_floor0")
+_OPS = {
+    "add": np.add,
+    "multiply": np.multiply,
+    "set": lambda old, amount: amount,
+    "subtract_floor0": lambda old, amount: np.maximum(old - amount, 0.0),
+}
 _CMPS = {
     "gt": np.greater,
     "ge": np.greater_equal,
@@ -65,9 +70,11 @@ class EditCondition:
     cmp: str
     value: float
 
-    def mask(self, data: ChoiceDataset) -> np.ndarray:
+    def __post_init__(self):
         if self.cmp not in _CMPS:
             raise SpecError(f"unknown comparison {self.cmp!r}; use {sorted(_CMPS)}")
+
+    def mask(self, data: ChoiceDataset) -> np.ndarray:
         return _CMPS[self.cmp](data.column(self.column), self.value)
 
 
@@ -123,7 +130,7 @@ class ScenarioEdit:
 
     def __post_init__(self):
         if self.op not in _OPS:
-            raise SpecError(f"unknown edit op {self.op!r}; use {_OPS}")
+            raise SpecError(f"unknown edit op {self.op!r}; use {tuple(_OPS)}")
 
     def row_mask(self, data: ChoiceDataset) -> np.ndarray:
         mask = np.ones(data.n_rows, dtype=bool)
@@ -208,14 +215,7 @@ def _edited_covariates(data: ChoiceDataset, scenario: Scenario, values,
     with np.errstate(over="ignore", invalid="ignore"):
         for edit, j, mask in targets:
             amount = edit.amount.evaluate(data, values)[mask]
-            if edit.op == "add":
-                cov[mask, j] += amount
-            elif edit.op == "multiply":
-                cov[mask, j] *= amount
-            elif edit.op == "set":
-                cov[mask, j] = amount
-            else:  # subtract_floor0
-                cov[mask, j] = np.maximum(cov[mask, j] - amount, 0.0)
+            cov[mask, j] = _OPS[edit.op](cov[mask, j], amount)
     return cov
 
 
@@ -326,11 +326,9 @@ class SelectionReport:
 
 def _pass_edited(problem: TargetingProblem, row_obs, target_rows) -> np.ndarray:
     data = problem.data
-    j = data.columns.index(problem.cost_column) if problem.cost_column in data.columns else None
-    if j is None:
-        raise MissingColumn(f"no cost column {problem.cost_column!r}")
+    col = data.column(problem.cost_column)
+    j = data.columns.index(problem.cost_column)
     cov = np.array(data.covariates)
-    col = cov[:, j]
     # fare of the target alternative, broadcast to the observation's rows
     fare_by_obs = np.zeros(data.n_obs)
     fare_by_obs[row_obs[target_rows]] = col[target_rows]

@@ -21,12 +21,12 @@ families ``exponential``, ``rayleigh``, ``weibull``, ``pareto``, ``qgev``,
     domain check. With ``grad=True`` it returns ``(S, dS/dV, dS/dgamma)``
     from the same intermediates; dS/dgamma is per shape parameter on the
     natural scale, or ``None`` for families without shapes. The analytic
-    likelihood gradient uses this triple.
-``domain(v, gamma)``
-    ``None`` when every element is admissible, else a description of the
-    violated constraint.
+    likelihood gradient uses this triple. An inadmissible V raises
+    ``DomainViolation``, whose ``constraint`` carries the violated
+    constraint, e.g. ``"V > 1"``.
 ``check_shapes(gamma)``
-    The same for natural shape values.
+    ``None`` when the natural shape values are admissible, else a
+    description of the violated constraint.
 ``to_natural(u)`` / ``from_natural(gamma)``
     Map an unconstrained per-alternative shape vector to the family's
     admissible set and back; optimizers work on the unconstrained side.
@@ -107,6 +107,9 @@ class TransformFamily:
     n_shapes_per_alt: int = 0
     #: +1 if S is increasing in V, -1 if decreasing.
     monotone_sign: int = +1
+    #: True if the shapes are identified only up to a common shift of their
+    #: unconstrained values; the packing then fixes one alternative's at 0.
+    shape_gauge: bool = False
 
     # -- evaluation -------------------------------------------------------
 
@@ -118,11 +121,7 @@ class TransformFamily:
         """
         raise NotImplementedError
 
-    # -- domains ----------------------------------------------------------
-
-    def domain(self, v, gamma=None):
-        """Return None if all elements admissible, else a constraint string."""
-        return None
+    # -- shape constraints ------------------------------------------------
 
     def check_shapes(self, gamma):
         """Return None if the natural shape values are admissible, else a
@@ -190,11 +189,6 @@ class CLogLog(TransformFamily):
         live = y != 0.0
         dv[live] = y[live] / (-np.expm1(-y[live]))
         return out, dv, None
-
-    def domain(self, v, gamma=None):
-        if np.any(_as_float_array(v) > _EXP_OVERFLOW):
-            return "V <= 709 (exp(V) must be finite)"
-        return None
 
 
 class Scobit(TransformFamily):
@@ -293,6 +287,9 @@ class AsymLogit(TransformFamily):
 
     name = "asym_logit"
     n_shapes_per_alt = 1
+    # to_natural is a softmax, so from_natural (the log) inverts it up to a
+    # common shift
+    shape_gauge = True
 
     def value(self, v, gamma, n_alts=None, grad=False):
         v = _as_float_array(v)
@@ -322,10 +319,6 @@ class AsymLogit(TransformFamily):
         z = u - np.max(u)
         e = np.exp(z)
         return e / np.sum(e)
-
-    def from_natural(self, gamma):
-        # gauge-free inverse; packing subtracts the reference entry
-        return np.log(_as_float_array(gamma))
 
     def chain_natural(self, t, gamma):
         # softmax Jacobian: d gamma_j / d u_k = gamma_j (delta_jk - gamma_k)
@@ -357,11 +350,6 @@ class Weibull(TransformFamily):
             return out
         dg = None if self.fixed_shape is not None else -np.broadcast_to(lv, out.shape)
         return out, -g / v, dg
-
-    def domain(self, v, gamma=None):
-        if np.any(_as_float_array(v) <= 0):
-            return "V > 0"
-        return None
 
 
 class Exponential(Weibull):
@@ -396,11 +384,6 @@ class Pareto(TransformFamily):
             return out
         return out, 1.0 / v - 1.0 / vm1, None
 
-    def domain(self, v, gamma=None):
-        if np.any(_as_float_array(v) <= 1):
-            return "V > 1"
-        return None
-
 
 class QGEV(TransformFamily):
     """S(V, gamma) = log(1 + (gamma - 1) V) / (1 - gamma), gamma != 1.
@@ -426,12 +409,6 @@ class QGEV(TransformFamily):
             return out
         opa = 1.0 + arg
         return out, -1.0 / opa, log_arg / one_m**2 + v / (one_m * opa)
-
-    def domain(self, v, gamma=None):
-        arg = (_as_float_array(gamma) - 1.0) * _as_float_array(v)
-        if np.any(arg <= -1.0):
-            return "1 + (gamma - 1) V > 0"
-        return None
 
     def check_shapes(self, gamma):
         if np.any(_as_float_array(gamma) == 1.0):

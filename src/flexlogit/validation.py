@@ -6,8 +6,11 @@ round-robin to folds, so per-fold per-alternative counts differ by at most
 one. ``cross_validate`` fits each spec on every training complement from the
 default init and scores the held-out log-likelihood; specs are compared on
 the mean held-out log-likelihood across folds. Each spec compiles the data
-once; every training complement and held-out fold is a row gather
-(``Design.take``) of that design.
+once. The plan's fold of every observation is looked up once, in canonical
+order, so a held-out fold and its training complement are ascending
+observation positions, and each is a row gather (``Design.take``) of that
+design. A plan that does not assign exactly the data's observations raises
+``ValueError``.
 """
 
 from __future__ import annotations
@@ -95,27 +98,33 @@ def cross_validate(
 ) -> CrossValidationReport:
     """Fit every spec on each training complement, score the held-out fold.
 
-    A fold whose fit raises or fails to converge is excluded from that spec's
-    mean and counted under ``failures``.
+    Fold f holds the positions of the observations ``plan`` assigns to f,
+    and its training set every other position. A ``plan`` that does not
+    assign exactly the data's observations raises ``ValueError``. A fold
+    whose fit raises or fails to converge is excluded from that spec's mean
+    and counted under ``failures``.
     """
     from .parallel import parallel_map
 
     opts = options or FitOptions()
     plan = plan or make_folds(data, k, seed)
-    uniq = data.unique_obs()
-    folds = [np.searchsorted(uniq, plan.fold_obs(f)) for f in range(plan.k)]
+    ids = data.unique_obs().tolist()
+    if sorted(plan.assignments) != ids:
+        raise ValueError("the fold plan does not assign exactly the data's observations")
+    fold = np.array([plan.assignments[o] for o in ids])
     designs = {label: build_design(data, spec) for label, spec in specs.items()}
 
     def one_cell(job):
         label, f = job
         design = designs[label]
-        train = design.take(np.setdiff1d(np.arange(uniq.shape[0]), folds[f]))
+        train = design.take(np.flatnonzero(fold != f))
         try:
             res = fit(train, design.spec, options=opts)
         except EstimationError:
             return {"spec": label, "fold": f, "converged": False,
                     "train_ll": np.nan, "test_ll": np.nan}
-        test_ll, _ = ll_with_design(design.take(folds[f]), res.packed, opts.use_weights)
+        test_ll, _ = ll_with_design(design.take(np.flatnonzero(fold == f)), res.packed,
+                                    opts.use_weights)
         return {"spec": label, "fold": f, "converged": res.converged,
                 "train_ll": res.ll, "test_ll": test_ll}
 

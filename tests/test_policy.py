@@ -133,6 +133,14 @@ def test_scenario_from_dict():
     assert sc.edits[0].conditions[0].cmp == "ge"
 
 
+def test_unknown_comparison_rejected_at_construction():
+    with pytest.raises(SpecError, match="unknown comparison 'gte'"):
+        Scenario.from_dict({"edits": [{
+            "column": "cost", "op": "add", "amount": 1.0,
+            "where": {"conditions": [{"column": "cost", "cmp": "gte", "value": 0.0}]},
+        }]})
+
+
 # ---------------------------------------------------------------------------
 # expected shares
 # ---------------------------------------------------------------------------

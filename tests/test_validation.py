@@ -7,7 +7,7 @@ from flexlogit import estimation
 from flexlogit.errors import KTooLarge, SparseStratumWarning
 from flexlogit.estimation import FitOptions, fit
 from flexlogit.likelihood import build_design, ll_with_design
-from flexlogit.validation import cross_validate, make_folds
+from flexlogit.validation import FoldPlan, cross_validate, make_folds
 
 from conftest import mnl_spec, scobit_dataset, spec_for, toy_dataset
 
@@ -90,6 +90,21 @@ def test_cross_validate_external_plan(mnl_sim_small):
     rep = cross_validate(data, {"m": spec}, plan=plan)
     assert rep.plan is plan
     assert len(rep.rows) == 3
+
+
+@pytest.mark.parametrize("foreign", ["shifted_ids", "first_half"])
+def test_cross_validate_rejects_plan_for_other_data(mnl_sim_small, foreign):
+    """A plan must assign exactly the data's observations: neither index
+    past the data nor train on observations no fold scores."""
+    data, spec, _ = mnl_sim_small
+    plan = make_folds(data, k=3, seed=7)
+    ids = sorted(plan.assignments)
+    if foreign == "shifted_ids":
+        assignments = {o + 100: plan.assignments[o] for o in ids}
+    else:
+        assignments = {o: plan.assignments[o] for o in ids[: len(ids) // 2]}
+    with pytest.raises(ValueError, match="fold plan"):
+        cross_validate(data, {"m": spec}, plan=FoldPlan(3, 7, assignments))
 
 
 def test_cross_validate_counts_failed_folds():
