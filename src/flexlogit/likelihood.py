@@ -431,8 +431,13 @@ def build_design(data: ChoiceDataset, spec: ModelSpec) -> Design:
 
 def _forward(design: Design, params, grad=False):
     """Per-row probabilities, floored log chosen-probabilities and the number
-    floored, dS/dV and dS/dgamma per row (``None`` unless ``grad``) and the
-    natural shape matrix at ``params``, ``NaturalParams`` or packed."""
+    floored (``None`` when ``grad``, which never reads them), dS/dV and
+    dS/dgamma per row (``None`` unless ``grad``) and the natural shape matrix
+    at ``params``, ``NaturalParams`` or packed.
+
+    The softmax takes each observation's maximum by ``np.maximum.at`` and its
+    sum by ``np.bincount`` over ``row_obs``; the sums add an observation's
+    rows in row order."""
     pk = design.packing
     fam = pk.family
     if isinstance(params, NaturalParams):
@@ -453,16 +458,18 @@ def _forward(design: Design, params, grad=False):
         S, dSdV, dSdg = fam.value(V, g_rows, J, grad=True)
     else:
         S, dSdV, dSdg = fam.value(V, g_rows, J), None, None
-    # Row-sized temporaries are freed once read, and the gradient still gets
-    # the floored log-probabilities it never reads: under glibc's dynamic mmap
-    # threshold, longer lifetimes or fewer arrays made 60k-row fits slower.
+    # Row-sized temporaries are freed once read: under glibc's dynamic mmap
+    # threshold, longer lifetimes made 60k-row fits slower.
     expo = S + tau[alt_index]
     del V, S, g_rows
-    starts, row_obs = design.obs_ptr[:-1], design.row_obs
-    m = np.maximum.reduceat(expo, starts)
+    row_obs, n_obs = design.row_obs, len(design.obs_ptr) - 1
+    m = np.full(n_obs, -np.inf)
+    np.maximum.at(m, row_obs, expo)
     e = np.exp(expo - m[row_obs])
-    P = e / np.add.reduceat(e, starts)[row_obs]
+    P = e / np.bincount(row_obs, weights=e, minlength=n_obs)[row_obs]
     del m, e
+    if grad:
+        return P, None, None, dSdV, dSdg, nat
     pc = P[design.chosen_rows]
     floored = int(np.sum(pc < PROB_FLOOR))
     logp = np.log(np.maximum(pc, PROB_FLOOR))

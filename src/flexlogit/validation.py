@@ -9,8 +9,8 @@ the mean held-out log-likelihood across folds. Each spec compiles the data
 once. The plan's fold of every observation is looked up once, in canonical
 order, so a held-out fold and its training complement are ascending
 observation positions, and each is a row gather (``Design.take``) of that
-design. A plan that does not assign exactly the data's observations raises
-``ValueError``.
+design. A plan that does not assign exactly the data's observations, or
+assigns one to a fold outside ``range(plan.k)``, raises ``ValueError``.
 """
 
 from __future__ import annotations
@@ -100,7 +100,8 @@ def cross_validate(
 
     Fold f holds the positions of the observations ``plan`` assigns to f,
     and its training set every other position. A ``plan`` that does not
-    assign exactly the data's observations raises ``ValueError``. A fold
+    assign exactly the data's observations, or assigns one to a fold outside
+    ``range(plan.k)``, raises ``ValueError`` naming the fold. A fold
     whose fit raises or fails to converge is excluded from that spec's mean
     and counted under ``failures``.
     """
@@ -112,6 +113,13 @@ def cross_validate(
     if sorted(plan.assignments) != ids:
         raise ValueError("the fold plan does not assign exactly the data's observations")
     fold = np.array([plan.assignments[o] for o in ids])
+    outside = np.flatnonzero((fold < 0) | (fold >= plan.k))
+    if outside.size:
+        i = outside[0]
+        raise ValueError(
+            f"the fold plan assigns observation {ids[i]} to fold {fold[i]}, outside "
+            f"range({plan.k}); {outside.size} observations have such a fold"
+        )
     designs = {label: build_design(data, spec) for label, spec in specs.items()}
 
     def one_cell(job):

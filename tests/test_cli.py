@@ -335,6 +335,24 @@ def test_crossval_reports_folds_and_means(ws, tmp_path, capsys):
     assert mean_rows[first] == max(mean_rows.values())
 
 
+def test_crossval_fold_outside_plan_exits_2(ws, tmp_path, capsys, monkeypatch):
+    """A plan with a fold number past k is a configuration error (exit 2)
+    that names the fold, not a run that never scores those observations."""
+    from flexlogit import validation
+
+    def bad_folds(data, k, seed=0):
+        plan = make_folds(data, k, seed)
+        moved = sorted(plan.assignments)[:5]
+        return validation.FoldPlan(k, seed, {**plan.assignments, **dict.fromkeys(moved, 7)})
+
+    make_folds = validation.make_folds
+    monkeypatch.setattr(validation, "make_folds", bad_folds)
+    rc = main(["crossval", *base(ws), "--spec", f"mnl={ws / 'mnl.json'}",
+               "--k", "3", "--out", str(tmp_path / "cv")])
+    assert rc == 2
+    assert "fold 7, outside range(3)" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # simulate, and the simulate -> estimate pipeline
 # ---------------------------------------------------------------------------

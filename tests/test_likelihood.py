@@ -20,6 +20,7 @@ from flexlogit.likelihood import (
     ll_with_design,
     log_likelihood,
     probabilities,
+    probabilities_from_design,
 )
 
 from conftest import mnl_spec, packed_fd_gradient, spec_for, toy_dataset
@@ -182,6 +183,56 @@ def test_probabilities_normalize(scobit_sim_small):
     p = probabilities(data, spec, true)
     sums = np.add.reduceat(p, data.obs_ptr[:-1])
     np.testing.assert_allclose(sums, 1.0, atol=1e-12)
+
+
+def ragged_dataset(n_obs=400, seed=5):
+    """Observations offering 2 to 5 of alternatives 1..5, wide covariates."""
+    rng = np.random.default_rng(seed)
+    sizes = rng.integers(2, 6, n_obs)
+    alt = np.concatenate([np.sort(rng.choice(np.arange(1, 6), k, replace=False))
+                          for k in sizes])
+    ptr = np.concatenate([[0], np.cumsum(sizes)])
+    chosen = np.zeros(alt.shape[0], dtype=bool)
+    chosen[ptr[:-1] + rng.integers(0, sizes)] = True
+    return ChoiceDataset(
+        obs_ids=np.repeat(np.arange(n_obs), sizes), alt_ids=alt, chosen=chosen,
+        weights=np.ones(alt.shape[0]),
+        covariates=rng.uniform(-6.0, 6.0, (alt.shape[0], 2)), columns=("time", "cost"),
+    )
+
+
+def _reduceat_probabilities(design, params):
+    """The softmax by segment reductions over ``obs_ptr``, as the forward
+    pass took it before its scatter maximum and ``bincount`` sums."""
+    pk = design.packing
+    fam = pk.family
+    nat = params.gamma_matrix(pk.alternatives, fam.n_shapes_per_alt)
+    g_rows = None if nat is None else nat[design.alt_index, 0]
+    S = fam.value(design.X @ params.beta, g_rows, len(pk.alternatives))
+    expo = S + params.tau_vector(pk.alternatives)[design.alt_index]
+    starts, row_obs = design.obs_ptr[:-1], design.row_obs
+    e = np.exp(expo - np.maximum.reduceat(expo, starts)[row_obs])
+    return e / np.add.reduceat(e, starts)[row_obs]
+
+
+@pytest.mark.parametrize("transform,gamma", [
+    ("mnl", None),
+    ("cloglog", None),
+    ("scobit", {1: 0.4, 2: 2.5, 3: 1.0, 4: 6.0, 5: 0.8}),
+    ("uneven_logit", {1: 0.3, 2: 3.0, 3: 1.0, 4: 8.0, 5: 1.5}),
+])
+def test_softmax_against_reduceat_oracle(transform, gamma):
+    """Ragged observations (2 to 5 alternatives): the forward pass agrees
+    with the segment-reduction softmax to 1e-15 relative; only the order of
+    each observation's sum differs."""
+    data = ragged_dataset()
+    design = build_design(data, spec_for(transform, ref=5))
+    params = NaturalParams(beta=[0.7, -0.45], tau={1: 0.3, 2: -0.4, 3: 0.1, 4: 0.5},
+                           gamma=gamma)
+    got, want = probabilities_from_design(design, params), _reduceat_probabilities(design, params)
+    assert set(np.diff(design.obs_ptr)) == {2, 3, 4, 5}
+    np.testing.assert_allclose(got, want, rtol=1e-15, atol=0.0)
+    assert np.array_equal(got == 0.0, want == 0.0)
 
 
 def test_probabilities_shift_invariant():

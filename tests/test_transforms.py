@@ -13,7 +13,7 @@ from flexlogit.transforms import (
     log_expm1,
     softplus,
 )
-from transform_oracle import ORACLES
+from transform_oracle import ORACLES, _log_expm1
 
 LN2 = 0.6931471805599453
 LN3 = 1.0986122886681098
@@ -138,6 +138,30 @@ def test_helpers_against_naive():
     big = np.array([np.nextafter(34.0, np.inf), 34.5, 64.0, 100.0, 700.0, 1e300])
     assert np.array_equal(big + np.log1p(-np.exp(-big)), big)
     assert np.array_equal(log_expm1(big), big)
+
+
+def test_softplus_within_3_ulp_of_logaddexp():
+    """``softplus`` evaluates max(x, 0) + log1p(e^-|x|), the identity
+    ``np.logaddexp(0, x)`` is built on, with numpy's vectorised exp and
+    log1p; it stays its oracle to within 3 ulp, and exactly at the ends."""
+    tiny = np.finfo(float).smallest_subnormal
+    special = np.array([np.inf, -np.inf, 0.0, -0.0, tiny, -tiny, 1e-310, -1e-310,
+                        np.finfo(float).tiny, -np.finfo(float).tiny])
+    x = np.concatenate([np.linspace(-800.0, 800.0, 400_001), special])
+    got, want = softplus(x), np.logaddexp(0.0, x)
+    assert np.all(got >= 0.0) and np.all(want >= 0.0)
+    ulps = np.abs(got.view(np.int64) - want.view(np.int64))
+    assert ulps.max() <= 3
+    assert np.array_equal(softplus(special), np.logaddexp(0.0, special))
+
+
+def test_log_expm1_equals_gathered_branches():
+    """Every row takes log(expm1(x)) and the rows past 34 are overwritten;
+    the branch-per-gather form in the oracle module gives the same bits."""
+    x = np.concatenate([np.geomspace(5e-324, 1e300, 20_001),
+                        [0.0, 33.9, 34.0, np.nextafter(34.0, np.inf), 709.0, 710.0, np.inf]])
+    assert np.array_equal(log_expm1(x), _log_expm1(x))
+    assert np.array_equal(log_expm1(x[:100]), _log_expm1(x[:100]))  # no row past 34
 
 
 def test_naive_formula_agreement():
@@ -537,6 +561,43 @@ def test_fused_kernel_equals_oracle(name):
         else:
             assert np.array_equal(dg, want_dg, equal_nan=True)
     assert n > 0
+
+
+def test_scobit_kernel_patches_only_branch_rows():
+    """The scobit kernel runs its main formula on every row and overwrites
+    the rows of the ``tiny`` (gamma softplus(-V) == 0), ``big`` (> 34) and
+    ``small`` (< 1e-280) branches. Bit for bit it equals the oracle, which
+    gathers each branch, on grids that hit each branch alone, all together
+    and none; and it raises no floating-point warning doing so."""
+    fam, oracle = get_family("scobit"), ORACLES["scobit"]
+    hits = {"tiny": 0, "big": 0, "small": 0, "none": 0}
+    cases = [(np.linspace(-5.0, 5.0, 101), 1.3),        # no branch
+             (np.array([-300.0, -40.0, 0.0, 2.0]), 1.0),  # big only
+             (np.array([-1.0, 0.5, 660.0]), 1e-8),        # small, not tiny
+             (np.array([-2.0, 0.0, 746.0, 800.0]), 2.0),  # tiny
+             (_V_WIDE, np.exp(-50.0)), (_V_WIDE, np.exp(50.0))]
+    for v, g in cases:
+        for gamma in (np.full_like(v, g), np.float64(g)):
+            a = g * softplus(-v)
+            tiny, big, small = a == 0.0, a > 34.0, a < 1e-280
+            hits["tiny"] += tiny.any()
+            hits["big"] += big.any()
+            hits["small"] += (small & ~tiny).any()
+            hits["none"] += not (tiny | big | small).any()
+            s, dv, dg = fam.value(v, gamma, grad=True)
+            with np.errstate(all="ignore"):
+                want = (oracle.value(v, gamma), oracle.d_value_dv(v, gamma),
+                        oracle.d_value_dshape(v, gamma))
+            assert np.array_equal(fam.value(v, gamma), want[0])
+            for got_k, want_k in zip((s, dv, dg), want):
+                assert np.array_equal(got_k, want_k)
+    # a 0-d V takes the same branches and keeps its shape
+    for v0 in (-800.0, 0.5, 800.0):
+        got = fam.value(np.float64(v0), 2.0, grad=True)
+        want = fam.value(np.array([v0]), np.array([2.0]), grad=True)
+        for got_k, want_k in zip(got, want):
+            assert got_k.shape == () and got_k == want_k[0]
+    assert all(hits.values()), hits
 
 
 def test_expit_within_4_ulp_of_scipy():

@@ -107,6 +107,21 @@ def test_cross_validate_rejects_plan_for_other_data(mnl_sim_small, foreign):
         cross_validate(data, {"m": spec}, plan=FoldPlan(3, 7, assignments))
 
 
+def test_cross_validate_rejects_fold_outside_plan():
+    """Observations assigned to a fold past ``plan.k`` would sit in every
+    training set and never be scored; the plan is rejected by that fold."""
+    d = toy_dataset(n_obs=30, seed=3)
+    spec = mnl_spec()
+    plan = make_folds(d, k=3, seed=0)
+    moved = sorted(plan.assignments)[:10]
+    assignments = {o: (7 if o in moved else f) for o, f in plan.assignments.items()}
+    with pytest.raises(ValueError, match=r"fold 7, outside range\(3\)"):
+        cross_validate(d, {"m": spec}, plan=FoldPlan(3, 0, assignments))
+    negative = {**plan.assignments, moved[0]: -1}
+    with pytest.raises(ValueError, match="fold -1"):
+        cross_validate(d, {"m": spec}, plan=FoldPlan(3, 0, negative))
+
+
 def test_cross_validate_counts_failed_folds():
     d = toy_dataset(n_obs=24, seed=6)
     # V = 0 at the default init violates the exponential domain, so every

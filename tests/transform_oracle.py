@@ -3,8 +3,10 @@ fused kernels in :mod:`flexlogit.transforms`.
 
 These are the per-family classes as they stood before ``value(..., grad=True)``
 replaced ``d_value_dv`` and ``d_value_dshape``: each derivative rebuilds its own
-intermediates. Only the tests import this module; the fused kernels must
-reproduce all three outputs bit for bit and raise the same domain errors.
+intermediates, and each asymptotic branch gathers its rows with a boolean
+mask (``_log_expm1`` below is ``transforms.log_expm1`` in that form). Only the
+tests import this module; the fused kernels must reproduce all three outputs
+bit for bit and raise the same domain errors.
 """
 
 from __future__ import annotations
@@ -12,11 +14,22 @@ from __future__ import annotations
 import numpy as np
 
 from flexlogit.errors import DomainViolation
-from flexlogit.transforms import _ASYMPTOTE, _EXP_OVERFLOW, expit, log_expm1, softplus
+from flexlogit.transforms import _ASYMPTOTE, _EXP_OVERFLOW, expit, softplus
 
 
 def _as_float_array(x):
     return np.asarray(x, dtype=float)
+
+
+def _log_expm1(x):
+    """log(e^x - 1) for x > 0: x itself past 34, else log(expm1(x)), each
+    branch on its gathered rows."""
+    x = np.asarray(x, dtype=float)
+    out = x.copy()
+    small = x <= _ASYMPTOTE
+    with np.errstate(divide="ignore"):
+        out[small] = np.log(np.expm1(x[small]))
+    return out
 
 
 class TransformFamily:
@@ -154,7 +167,7 @@ class Scobit(TransformFamily):
                 lu = np.where(ut > 0, np.log(np.where(ut > 0, ut, 1.0)), -vt)
             out[tiny] = -np.log(gt) - lu
         rest = ~tiny
-        out[rest] = -log_expm1(a[rest])
+        out[rest] = -_log_expm1(a[rest])
         return out
 
     def d_value_dv(self, v, gamma, n_alts=None):
@@ -175,11 +188,11 @@ class Scobit(TransformFamily):
             # log dS/dV = log g + log(e^u - 1) + (g-1) u - log(e^(gu) - 1);
             # for large gu, fold (g-1)u - gu = -u analytically to avoid
             # catastrophic cancellation between huge terms.
-            log_num = np.log(gr) + log_expm1(ur)
+            log_num = np.log(gr) + _log_expm1(ur)
             big = ar > _ASYMPTOTE
             tail = np.empty_like(ar)
             tail[big] = -ur[big] - np.log1p(-np.exp(-ar[big]))
-            tail[~big] = (gr[~big] - 1.0) * ur[~big] - log_expm1(ar[~big])
+            tail[~big] = (gr[~big] - 1.0) * ur[~big] - _log_expm1(ar[~big])
             out[rest] = np.exp(log_num + tail)
         return out
 
