@@ -1,19 +1,20 @@
 """Maximum likelihood estimation via a staged ascent with backtracking.
 
 ``fit`` maximizes the (optionally weighted) log-likelihood over the packed
-parameter vector. Three stages run in order until one converges:
+parameter vector. Two stages run in order until one converges:
 
 1. BFGS with an inverse-Hessian approximation,
 2. Newton steps on a finite-difference Hessian, eigenvalue-shifted so the
-   direction is always an ascent direction,
-3. plain gradient ascent.
+   direction is always an ascent direction.
 
-Every stage shares one backtracking line search enforcing the Armijo
+Both stages share one backtracking line search enforcing the Armijo
 sufficient-increase condition, so the sequence of accepted log-likelihood
 values is non-decreasing. Convergence means the sup-norm of the score drops
 below ``tol_grad``. A stage that can no longer improve the objective
-(relative change below ``tol_ll`` on consecutive accepted steps, or a failed
-line search) hands its best point to the next stage.
+(``"stalled"``: relative change below ``tol_ll`` on two consecutive accepted
+steps; ``"line_search_failed"``: no step length gives sufficient increase)
+or runs out of iterations (``"max_iters"``) hands its point to the next
+stage; the last stage's status is the fit's.
 
 ``fit`` computes no Hessian at the optimum. ``fd_hessian(data, spec,
 res.params, use_weights)`` gives one on request: a central finite difference
@@ -115,7 +116,7 @@ class EstimationResult:
     ll_by_alt: dict[int, float]
     score: np.ndarray
     grad_norm_inf: float
-    status: str  # converged | max_iters | line_search_failed
+    status: str  # converged | stalled | line_search_failed | max_iters
     iterations: int
     optimizer_used: str
     ll_path: list[float] = field(default_factory=list)
@@ -195,7 +196,7 @@ def _objective(design: Design, opts):
 
 
 def _backtrack(f, x, fx, gx, d):
-    """Armijo backtracking; returns (x_new, f_new, alpha) or None."""
+    """Armijo backtracking; returns (x_new, f_new) or None."""
     slope = float(gx @ d)
     if slope >= 0:
         return None
@@ -204,34 +205,28 @@ def _backtrack(f, x, fx, gx, d):
         x_new = x + alpha * d
         f_new = f(x_new)
         if np.isfinite(f_new) and f_new <= fx + ARMIJO_C1 * alpha * slope:
-            return x_new, f_new, alpha
+            return x_new, f_new
         alpha *= BACKTRACK_SHRINK
     return None
 
 
-def _stage_loop(direction_fn, update, f, g, x, fx, gx, opts, state):
+def _stage_loop(direction, update, f, g, x, fx, gx, opts):
     """Shared iteration scaffold; returns (x, fx, gx, iters, status, path).
 
-    ``state`` is the stage's memory. BFGS keeps its inverse Hessian in
-    ``state["H"]``, which starts as the seed or the identity; every reset goes
-    back to the identity."""
+    ``direction(x, gx)`` proposes a step; ``update(s, y)``, when given, sees
+    every accepted step and its change of gradient."""
     path = []
     stalls = 0
     for it in range(opts.max_iter):
         if np.max(np.abs(gx)) < opts.tol_grad:
             return x, fx, gx, it, "converged", path
-        d = direction_fn(x, gx, state)
-        step = _backtrack(f, x, fx, gx, d)
-        if step is None and update is not None:
-            # curvature memory can go bad; retry once from steepest descent
-            state["H"] = np.eye(x.shape[0])
-            step = _backtrack(f, x, fx, gx, -gx)
+        step = _backtrack(f, x, fx, gx, direction(x, gx))
         if step is None:
             return x, fx, gx, it, "line_search_failed", path
-        x_new, f_new, _ = step
+        x_new, f_new = step
         g_new = g(x_new)
         if update is not None:
-            update(state, x_new - x, g_new - gx)
+            update(x_new - x, g_new - gx)
         rel = abs(f_new - fx) / max(1.0, abs(f_new))
         x, fx, gx = x_new, f_new, g_new
         path.append(-fx)
@@ -239,31 +234,36 @@ def _stage_loop(direction_fn, update, f, g, x, fx, gx, opts, state):
             return x, fx, gx, it + 1, "converged", path
         stalls = stalls + 1 if rel < opts.tol_ll else 0
         if stalls >= 2:
-            return x, fx, gx, it + 1, "line_search_failed", path
+            return x, fx, gx, it + 1, "stalled", path
     return x, fx, gx, opts.max_iter, "max_iters", path
 
 
-def _bfgs_update(state, s, y):
-    H = state["H"]
-    sy = float(s @ y)
-    if sy > 1e-10 * np.linalg.norm(s) * np.linalg.norm(y):
-        rho = 1.0 / sy
-        I = np.eye(s.shape[0])
-        V = I - rho * np.outer(s, y)
-        H = V @ H @ V.T + rho * np.outer(s, s)
-    state["H"] = H
+def _make_bfgs(h0):
+    """BFGS over its own inverse Hessian, starting from ``h0``; returns
+    (direction, update). A reset goes back to the identity."""
+    H = h0
 
+    def direction(x, gx):
+        nonlocal H
+        d = -H @ gx
+        if float(gx @ d) >= 0:  # safeguard: fall back to steepest descent
+            H = np.eye(x.shape[0])
+            d = -gx
+        return d
 
-def _bfgs_direction(x, gx, state):
-    d = -state["H"] @ gx
-    if float(gx @ d) >= 0:  # safeguard: fall back to steepest descent
-        state["H"] = np.eye(x.shape[0])
-        d = -gx
-    return d
+    def update(s, y):
+        nonlocal H
+        sy = float(s @ y)
+        if sy > 1e-10 * np.linalg.norm(s) * np.linalg.norm(y):
+            rho = 1.0 / sy
+            V = np.eye(s.shape[0]) - rho * np.outer(s, y)
+            H = V @ H @ V.T + rho * np.outer(s, s)
+
+    return direction, update
 
 
 def _make_newton_direction(g):
-    def direction(x, gx, state):
+    def direction(x, gx):
         H = _fd_hessian_of(g, x)
         try:
             w, Q = np.linalg.eigh(H)
@@ -274,10 +274,6 @@ def _make_newton_direction(g):
         return -(Q @ ((Q.T @ gx) / w))
 
     return direction
-
-
-def _steepest_direction(x, gx, state):
-    return -gx
 
 
 def _fd_hessian_of(g, x, step=HESSIAN_STEP):
@@ -314,17 +310,13 @@ def _run_cascade(f, g, x0, opts, h0=None):
     x = x0.copy()
     total_iters = 0
     stages_used = []
-    status = "converged"
-    h_start = np.eye(x.shape[0]) if h0 is None else h0
     stages = (
-        ("bfgs", _bfgs_direction, _bfgs_update),
+        ("bfgs", *_make_bfgs(np.eye(x.shape[0]) if h0 is None else h0)),
         ("newton", _make_newton_direction(g), None),
-        ("ascent", _steepest_direction, None),
     )
     for name, direction, update in stages:
-        state = {"H": h_start} if name == "bfgs" else {}
         x, fx, gx, iters, status, seg = _stage_loop(
-            direction, update, f, g, x, fx, gx, opts, state
+            direction, update, f, g, x, fx, gx, opts
         )
         total_iters += iters
         path += seg

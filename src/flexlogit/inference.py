@@ -156,14 +156,16 @@ def bootstrap(
     Hessian, 2 dim score evaluations), or from the identity when -H is not
     positive definite; replicates, whose samples differ more and may stop on
     flat ridges, and the cold fallback start from the identity. Raises
-    ``TooManyFailures`` when more than 10% of replicates fail to converge.
+    ``TooManyFailures`` when more than 10% of replicates fail to converge,
+    and ``ValueError`` before any fit unless ``threads`` is an integer >= 1.
     """
-    from .parallel import parallel_map
+    from .parallel import check_threads, parallel_map
 
     if B < 1:
         raise ValueError("B must be at least 1")
     if seed < 0:
         raise ValueError(f"bootstrap seed must be >= 0, got {seed}")
+    check_threads(threads)
     opts = options or FitOptions()
     design = build_design(data, spec)
     full = fit(design, spec, options=opts)

@@ -22,8 +22,10 @@ truth model: total cost divided by the truth model's total probability gain.
 from __future__ import annotations
 
 import json
+import math
 import re
 from dataclasses import dataclass, replace
+from numbers import Real
 
 import numpy as np
 
@@ -292,7 +294,9 @@ class TargetingProblem:
     individual's target-alternative fare, floored at zero (those alternatives
     partially embed the subsidized fare). The per-individual program cost is
     ``cost_multiplier`` times the fare, e.g. workdays per month when fares
-    are per-trip and the pass is monthly.
+    are per-trip and the pass is monthly. A multiplier that is not finite
+    and > 0, or a target or related alternative the data does not have,
+    raises ``SpecError``.
     """
 
     data: ChoiceDataset
@@ -302,6 +306,19 @@ class TargetingProblem:
     cost_column: str
     related_alts: tuple[int, ...] = ()
     cost_multiplier: float = 22.0
+
+    def __post_init__(self):
+        m = self.cost_multiplier
+        if isinstance(m, bool) or not isinstance(m, Real) or not (math.isfinite(m) and m > 0):
+            raise SpecError(f"cost_multiplier must be finite and > 0, got {m!r}")
+        alts = self.data.alternatives
+        if self.target_alt not in alts:
+            raise SpecError(f"target_alt {self.target_alt!r} is not an alternative "
+                            f"of the data {list(alts)}")
+        for a in self.related_alts:
+            if a not in alts:
+                raise SpecError(f"related_alts entry {a!r} is not an alternative "
+                                f"of the data {list(alts)}")
 
 
 @dataclass

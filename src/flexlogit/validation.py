@@ -101,12 +101,14 @@ def cross_validate(
     Fold f holds the positions of the observations ``plan`` assigns to f,
     and its training set every other position. A ``plan`` that does not
     assign exactly the data's observations, or assigns one to a fold outside
-    ``range(plan.k)``, raises ``ValueError`` naming the fold. A fold
+    ``range(plan.k)``, raises ``ValueError`` naming the fold, as does a
+    ``threads`` that is not an integer >= 1. A fold
     whose fit raises or fails to converge is excluded from that spec's mean
     and counted under ``failures``.
     """
-    from .parallel import parallel_map
+    from .parallel import check_threads, parallel_map
 
+    check_threads(threads)
     opts = options or FitOptions()
     plan = plan or make_folds(data, k, seed)
     ids = data.unique_obs().tolist()

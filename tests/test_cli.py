@@ -22,7 +22,7 @@ import flexlogit
 from flexlogit import cli, inference
 from flexlogit.cli import build_parser, main
 from flexlogit.data import SchemaMapping, load_csv, write_csv
-from flexlogit.estimation import fd_hessian, fit
+from flexlogit.estimation import FitOptions, fd_hessian, fit
 from flexlogit.inference import chi2_sf
 from flexlogit.likelihood import Design, ModelSpec, build_design
 from flexlogit.policy import TargetingProblem, select_targets
@@ -175,6 +175,24 @@ def test_estimate_writes_tables_and_manifest(ws, tmp_path, capsys):
     assert "status converged" in text
     printed_ll = float(text.split("log-likelihood")[1].split()[0])
     assert printed_ll == pytest.approx(total, abs=1e-5)
+
+
+def test_estimate_weights_flag_fits_the_weighted_likelihood(ws, tmp_path):
+    d = toy_dataset(n_obs=50, seed=3, weights=np.linspace(0.2, 3.0, 50))
+    write_csv(d, tmp_path / "data.csv", weight_column="w")
+    (tmp_path / "schema.json").write_text(json.dumps({"weight": "w"}))
+    spec = ws / "mnl.json"
+    argv = ["estimate", "--data", str(tmp_path / "data.csv"),
+            "--schema", str(tmp_path / "schema.json"), "--spec", str(spec)]
+    assert main([*argv, "--weights", "--out", str(tmp_path / "w")]) == 0
+    assert main([*argv, "--out", str(tmp_path / "u")]) == 0
+
+    data = load_csv(tmp_path / "data.csv", SchemaMapping.from_dict({"weight": "w"}))
+    want = fit(data, ModelSpec.from_json(spec), options=FitOptions(use_weights=True))
+    got = [float(r["estimate"]) for r in read_rows(tmp_path / "w" / "params.csv")]
+    assert got == want.packed.tolist()
+    unweighted = [float(r["estimate"]) for r in read_rows(tmp_path / "u" / "params.csv")]
+    assert unweighted != got
 
 
 def test_estimate_reruns_are_byte_identical(ws, tmp_path):
@@ -333,6 +351,14 @@ def test_crossval_reports_folds_and_means(ws, tmp_path, capsys):
     assert len(lines) == 2
     first = lines[0].split(":")[0]
     assert mean_rows[first] == max(mean_rows.values())
+
+
+@pytest.mark.parametrize("threads", ["0", "-3"])
+def test_crossval_bad_thread_count_exits_2(ws, tmp_path, capsys, threads):
+    rc = main(["crossval", *base(ws), "--spec", f"mnl={ws / 'mnl.json'}",
+               "--k", "3", "--threads", threads, "--out", str(tmp_path / "cv")])
+    assert rc == 2
+    assert f"threads must be an integer >= 1, got {threads}" in capsys.readouterr().err
 
 
 def test_crossval_fold_outside_plan_exits_2(ws, tmp_path, capsys, monkeypatch):
@@ -577,6 +603,24 @@ def test_policy_target_unaffordable_budget_is_config_error(target_ws, tmp_path, 
                "--out", str(tmp_path / "tgt")])
     assert rc == 2
     assert "configuration error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag, value, message", [
+    ("--multiplier", "-1", "cost_multiplier must be finite and > 0, got -1.0"),
+    ("--multiplier", "0", "cost_multiplier must be finite and > 0, got 0.0"),
+    ("--target-alt", "9", "target_alt 9 is not an alternative of the data"),
+    ("--related-alts", "9", "related_alts entry 9 is not an alternative of the data"),
+])
+def test_policy_target_bad_inputs_exit_2(target_ws, tmp_path, capsys, flag, value,
+                                         message):
+    spec = str(target_ws / "mnl.json")
+    args = {"--target-alt": "1", "--multiplier": "1.0", flag: value}
+    rc = main(["policy-target", "--data", str(target_ws / "data.csv"),
+               "--selection-spec", spec, "--truth-spec", spec,
+               "--cost-column", "cost", "--budgets", "500",
+               *[x for kv in args.items() for x in kv], "--out", str(tmp_path / "tgt")])
+    assert rc == 2
+    assert f"configuration error: {message}" in capsys.readouterr().err
 
 
 def test_cli_fits_compute_no_hessian(ws, target_ws, tmp_path, monkeypatch):

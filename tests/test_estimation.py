@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import flexlogit
+from flexlogit import estimation
 from flexlogit.data import ChoiceDataset
 from flexlogit.errors import (
     DegenerateSharesWarning,
@@ -129,7 +130,7 @@ def test_fit_computes_no_hessian(mnl_sim_small, monkeypatch):
     assert fit(data, spec).converged
     # the Newton stage differences the score on its own
     res = fit(data, spec, options=FitOptions(max_iter=1, tol_grad=1e-14))
-    assert res.optimizer_used == "bfgs+newton+ascent"
+    assert res.optimizer_used == "bfgs+newton"
     assert not hasattr(res, "hessian")
     assert list(inspect.signature(fit).parameters) == ["data", "spec", "init", "options"]
 
@@ -207,8 +208,8 @@ def test_budget_exhaustion_reports_max_iters(mnl_sim_small):
     data, spec, _ = mnl_sim_small
     res = fit(data, spec, options=FitOptions(max_iter=1, tol_grad=1e-14))
     assert res.status == "max_iters"
-    assert res.optimizer_used == "bfgs+newton+ascent"
-    assert res.iterations == 3
+    assert res.optimizer_used == "bfgs+newton"
+    assert res.iterations == 2
 
 
 def test_fd_hessian_matches_score_differences(mnl_sim_small):
@@ -277,3 +278,68 @@ def test_pack_recomputes_a_stale_shape_cache():
     want = pk.pack(dataclasses.replace(res.params, packed_shapes=None))
     assert np.array_equal(pk.pack(res.params), want)
     assert pk.pack(res.params)[shapes][0] == np.log(3.0)
+
+
+def test_stall_is_reported_as_stalled(mnl_sim_small):
+    # every accepted step changes the log-likelihood by less than tol_ll
+    data, spec, _ = mnl_sim_small
+    res = fit(data, spec, options=FitOptions(tol_ll=1e6, tol_grad=1e-14))
+    assert res.status == "stalled"
+    assert res.optimizer_used == "bfgs+newton"
+    assert res.iterations == 4
+
+
+def test_failed_bfgs_line_search_hands_over_to_newton(monkeypatch):
+    data, spec = toy_dataset(n_obs=40), mnl_spec()
+    want = fit(data, spec)
+    assert want.optimizer_used == "bfgs"
+    calls = []
+    backtrack = estimation._backtrack
+
+    def refuse_first(*args):
+        calls.append(1)
+        return None if len(calls) == 1 else backtrack(*args)
+
+    monkeypatch.setattr(estimation, "_backtrack", refuse_first)
+    res = fit(data, spec)
+    # BFGS stops at its start point; Newton, not a BFGS retry, takes over
+    assert res.optimizer_used == "bfgs+newton"
+    assert res.converged
+    assert res.ll == pytest.approx(want.ll, abs=1e-8)
+
+
+@pytest.mark.parametrize("case", ["bfgs", "newton", "max_iters"])
+def test_objective_calls_are_line_search_trials_plus_two(case, mnl_sim_small,
+                                                         monkeypatch):
+    """A single-start fit evaluates the log-likelihood once at its start, once
+    per line-search trial and once at its end; ``bench/tracing.py`` counts
+    backtracks as objective evaluations - iterations - 2 per fit."""
+    data, spec, opts, stage, status = {
+        "bfgs": (toy_dataset(n_obs=40), mnl_spec(), FitOptions(), "bfgs", "converged"),
+        "newton": (scobit_dataset(100, 0), spec_for("scobit"), FitOptions(),
+                   "bfgs+newton", "converged"),
+        "max_iters": (*mnl_sim_small[:2], FitOptions(max_iter=1, tol_grad=1e-14),
+                      "bfgs+newton", "max_iters"),
+    }[case]
+    counts = {"all": 0, "trials": 0}
+    inside = []
+    ll, backtrack = estimation.ll_with_design, estimation._backtrack
+
+    def counted_ll(*args, **kwargs):
+        counts["all"] += 1
+        counts["trials"] += bool(inside)
+        return ll(*args, **kwargs)
+
+    def counted_backtrack(*args):
+        inside.append(1)
+        try:
+            return backtrack(*args)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(estimation, "ll_with_design", counted_ll)
+    monkeypatch.setattr(estimation, "_backtrack", counted_backtrack)
+    res = fit(data, spec, options=opts)
+    assert (res.optimizer_used, res.status) == (stage, status)
+    assert counts["all"] == counts["trials"] + 2
+    assert counts["trials"] >= res.iterations

@@ -444,3 +444,17 @@ def test_bca_normal_functions_agree_with_scipy(monkeypatch):
     want = [bca_interval(r, p, lv) for r, p in zip(runs, point) for lv in levels]
     for g, w in zip(got, want):
         assert np.all(np.abs(g - w) <= 1e-14 * np.max(np.abs(w)))
+
+
+@pytest.mark.parametrize("threads", [0, -3, 1.5, True])
+def test_bad_thread_counts_are_rejected_before_any_fit(monkeypatch, threads):
+    def refuse(*args, **kwargs):
+        raise AssertionError("threads is checked before any fit")
+
+    monkeypatch.setattr("flexlogit.inference.fit", refuse)
+    monkeypatch.setattr("flexlogit.validation.fit", refuse)
+    d = toy_dataset(n_obs=10)
+    with pytest.raises(ValueError, match=f"threads must be an integer >= 1, got {threads!r}"):
+        bootstrap(d, mnl_spec(), B=2, threads=threads)
+    with pytest.raises(ValueError, match=f"threads must be an integer >= 1, got {threads!r}"):
+        cross_validate(d, {"m": mnl_spec()}, k=2, threads=threads)

@@ -15,6 +15,7 @@ from flexlogit.likelihood import (
     Packing,
     build_design,
     build_design_matrix,
+    gradient,
     gradient_with_design,
     ll_by_alternative,
     ll_with_design,
@@ -363,6 +364,29 @@ def test_packed_gradient_weighted():
     got = gradient_with_design(design, pk.unpack(x), use_weights=True)
     want = packed_fd_gradient(data, spec, x, use_weights=True)
     np.testing.assert_allclose(got, want, rtol=2e-6, atol=2e-7)
+
+
+def test_public_gradient_is_the_compiled_gradient():
+    data = toy_dataset(n_obs=30, seed=23, weights=np.linspace(0.5, 2.5, 30))
+    spec = spec_for("scobit")
+    pk = Packing(spec, data.alternatives)
+    x = np.random.default_rng(4).normal(0, 0.4, pk.dim)
+    params = pk.unpack(x)
+    for use_weights in (False, True):
+        got = gradient(data, spec, params, use_weights)
+        want = gradient_with_design(build_design(data, spec), params, use_weights)
+        assert np.array_equal(got, want)
+    # central differences of the public log-likelihood
+    fd = np.empty(pk.dim)
+    for m in range(pk.dim):
+        e = np.zeros(pk.dim)
+        e[m] = 1e-6
+        fd[m] = (log_likelihood(data, spec, pk.unpack(x + e))
+                 - log_likelihood(data, spec, pk.unpack(x - e))) / 2e-6
+    np.testing.assert_allclose(gradient(data, spec, params), fd, rtol=2e-6, atol=2e-7)
+    bad = NaturalParams(beta=[np.nan, 0.0], tau=params.tau, gamma=params.gamma)
+    with pytest.raises(InvalidParams, match="beta contains non-finite entries"):
+        gradient(data, spec, bad)
 
 
 def test_floored_probability_keeps_ll_finite():

@@ -551,3 +551,17 @@ def test_non_finite_edit_raises_non_numeric_cell(targeting_fixture):
     bad = dataclasses.replace(problem, data=data.with_covariates(cov))
     with np.errstate(over="ignore"), pytest.raises(NonNumericCell, match=msg):
         select_targets(bad, [1e9])
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("cost_multiplier", -1.0, "cost_multiplier must be finite and > 0, got -1.0"),
+    ("cost_multiplier", 0.0, "cost_multiplier must be finite and > 0, got 0.0"),
+    ("cost_multiplier", float("inf"), "cost_multiplier must be finite and > 0, got inf"),
+    ("cost_multiplier", float("nan"), "cost_multiplier must be finite and > 0, got nan"),
+    ("target_alt", 9, r"target_alt 9 is not an alternative of the data \[1, 2, 3\]"),
+    ("related_alts", (2, 9),
+     r"related_alts entry 9 is not an alternative of the data \[1, 2, 3\]"),
+])
+def test_targeting_problem_rejects_bad_inputs(targeting_fixture, field, value, message):
+    with pytest.raises(SpecError, match=message):
+        dataclasses.replace(targeting_fixture, **{field: value})
