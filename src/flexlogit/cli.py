@@ -44,7 +44,7 @@ from .errors import (
 from .estimation import FitOptions, fit
 from .inference import bca_interval, bootstrap, lr_test
 from .likelihood import ModelSpec, NaturalParams, Packing
-from .policy import Scenario, TargetingProblem, select_targets, sweep
+from .policy import Scenario, TargetingProblem, check_targeting, select_targets, sweep
 from .validation import cross_validate
 
 CONFIG_EXIT = 2
@@ -124,6 +124,9 @@ def _out_dir(args) -> Path:
 
 
 def cmd_estimate(args) -> int:
+    from .parallel import check_threads  # not at module level: it loads the thread pool
+
+    check_threads(args.threads)
     data = _load_data(args)
     spec = ModelSpec.from_json(args.spec)
     opts = _load_options(args)
@@ -294,6 +297,8 @@ def cmd_policy_target(args) -> int:
     sel_spec = ModelSpec.from_json(args.selection_spec)
     truth_spec = ModelSpec.from_json(args.truth_spec)
     opts = _load_options(args)
+    related_alts = tuple(args.related_alts or ())
+    check_targeting(data, args.target_alt, related_alts, args.multiplier)
     selection = fit(data, sel_spec, options=opts)
     truth = (
         selection
@@ -306,7 +311,7 @@ def cmd_policy_target(args) -> int:
         truth_model=truth,
         target_alt=args.target_alt,
         cost_column=args.cost_column,
-        related_alts=tuple(args.related_alts or ()),
+        related_alts=related_alts,
         cost_multiplier=args.multiplier,
     )
     out = _out_dir(args)

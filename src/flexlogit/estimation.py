@@ -7,6 +7,14 @@ parameter vector. Two stages run in order until one converges:
 2. Newton steps on a finite-difference Hessian, eigenvalue-shifted so the
    direction is always an ascent direction.
 
+A cold BFGS stage starts at the gradient's scale rather than from the plain
+identity: its first trial step has unit length, and the identity is scaled
+by s'y / y'y before the first update. The score is a sum over observations,
+so at large n the plain identity's first steps overshoot by orders of
+magnitude and the line search rejects a dozen trials per step. Refits that
+pass their own inverse Hessian (the bootstrap's ``_WarmStart``) get it
+unscaled.
+
 Both stages share one backtracking line search enforcing the Armijo
 sufficient-increase condition, so the sequence of accepted log-likelihood
 values is non-decreasing. Convergence means the sup-norm of the score drops
@@ -238,13 +246,22 @@ def _stage_loop(direction, update, f, g, x, fx, gx, opts):
     return x, fx, gx, opts.max_iter, "max_iters", path
 
 
-def _make_bfgs(h0):
-    """BFGS over its own inverse Hessian, starting from ``h0``; returns
-    (direction, update). A reset goes back to the identity."""
+def _make_bfgs(h0=None):
+    """BFGS over its own inverse Hessian; returns (direction, update).
+
+    A caller's inverse Hessian ``h0`` is used as given. Without one the stage
+    starts from the identity at the gradient's scale: the first direction is
+    -g / max(1, |g|_2), a unit-length first trial, and just before the first
+    update H becomes (s'y / y'y) I (Shanno & Phua 1978; Nocedal & Wright,
+    Numerical Optimization, eq. 6.20). The score is a sum over rows, so an
+    unscaled identity makes the line search halve its first steps many times
+    over at large n. A reset goes back to the unscaled identity."""
     H = h0
 
     def direction(x, gx):
         nonlocal H
+        if H is None:
+            return -gx / max(1.0, float(np.linalg.norm(gx)))
         d = -H @ gx
         if float(gx @ d) >= 0:  # safeguard: fall back to steepest descent
             H = np.eye(x.shape[0])
@@ -255,6 +272,8 @@ def _make_bfgs(h0):
         nonlocal H
         sy = float(s @ y)
         if sy > 1e-10 * np.linalg.norm(s) * np.linalg.norm(y):
+            if H is None:
+                H = (sy / float(y @ y)) * np.eye(s.shape[0])
             rho = 1.0 / sy
             V = np.eye(s.shape[0]) - rho * np.outer(s, y)
             H = V @ H @ V.T + rho * np.outer(s, s)
@@ -311,7 +330,7 @@ def _run_cascade(f, g, x0, opts, h0=None):
     total_iters = 0
     stages_used = []
     stages = (
-        ("bfgs", *_make_bfgs(np.eye(x.shape[0]) if h0 is None else h0)),
+        ("bfgs", *_make_bfgs(h0)),
         ("newton", _make_newton_direction(g), None),
     )
     for name, direction, update in stages:

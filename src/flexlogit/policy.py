@@ -43,6 +43,7 @@ __all__ = [
     "enumerate_shares",
     "sweep",
     "TargetingProblem",
+    "check_targeting",
     "SelectionReport",
     "select_targets",
 ]
@@ -308,17 +309,25 @@ class TargetingProblem:
     cost_multiplier: float = 22.0
 
     def __post_init__(self):
-        m = self.cost_multiplier
-        if isinstance(m, bool) or not isinstance(m, Real) or not (math.isfinite(m) and m > 0):
-            raise SpecError(f"cost_multiplier must be finite and > 0, got {m!r}")
-        alts = self.data.alternatives
-        if self.target_alt not in alts:
-            raise SpecError(f"target_alt {self.target_alt!r} is not an alternative "
+        check_targeting(self.data, self.target_alt, self.related_alts,
+                        self.cost_multiplier)
+
+
+def check_targeting(data: ChoiceDataset, target_alt, related_alts,
+                    cost_multiplier) -> None:
+    """The checks of ``TargetingProblem``, which need no fitted model: a
+    caller can run them on the data before fitting the two models."""
+    m = cost_multiplier
+    if isinstance(m, bool) or not isinstance(m, Real) or not (math.isfinite(m) and m > 0):
+        raise SpecError(f"cost_multiplier must be finite and > 0, got {m!r}")
+    alts = data.alternatives
+    if target_alt not in alts:
+        raise SpecError(f"target_alt {target_alt!r} is not an alternative "
+                        f"of the data {list(alts)}")
+    for a in related_alts:
+        if a not in alts:
+            raise SpecError(f"related_alts entry {a!r} is not an alternative "
                             f"of the data {list(alts)}")
-        for a in self.related_alts:
-            if a not in alts:
-                raise SpecError(f"related_alts entry {a!r} is not an alternative "
-                                f"of the data {list(alts)}")
 
 
 @dataclass

@@ -353,6 +353,22 @@ def test_crossval_reports_folds_and_means(ws, tmp_path, capsys):
     assert mean_rows[first] == max(mean_rows.values())
 
 
+@pytest.mark.parametrize("bootstrap", [[], ["--bootstrap", "3"]])
+@pytest.mark.parametrize("threads", ["0", "-3"])
+def test_estimate_bad_thread_count_exits_2(ws, tmp_path, capsys, monkeypatch,
+                                           threads, bootstrap):
+    """The flag is checked on every estimate path, before the data is read;
+    without --bootstrap no fit reads it."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("the data was read")
+
+    monkeypatch.setattr(cli, "load_csv", refuse)
+    rc = main(["estimate", *base(ws), "--spec", str(ws / "mnl.json"), *bootstrap,
+               "--threads", threads, "--out", str(tmp_path / "est")])
+    assert rc == 2
+    assert f"threads must be an integer >= 1, got {threads}" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("threads", ["0", "-3"])
 def test_crossval_bad_thread_count_exits_2(ws, tmp_path, capsys, threads):
     rc = main(["crossval", *base(ws), "--spec", f"mnl={ws / 'mnl.json'}",
@@ -611,8 +627,14 @@ def test_policy_target_unaffordable_budget_is_config_error(target_ws, tmp_path, 
     ("--target-alt", "9", "target_alt 9 is not an alternative of the data"),
     ("--related-alts", "9", "related_alts entry 9 is not an alternative of the data"),
 ])
-def test_policy_target_bad_inputs_exit_2(target_ws, tmp_path, capsys, flag, value,
-                                         message):
+def test_policy_target_bad_inputs_exit_2(target_ws, tmp_path, capsys, monkeypatch,
+                                         flag, value, message):
+    """The targeting flags are checked against the data before either model
+    is fitted."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("a model was fitted")
+
+    monkeypatch.setattr(cli, "fit", refuse)
     spec = str(target_ws / "mnl.json")
     args = {"--target-alt": "1", "--multiplier": "1.0", flag: value}
     rc = main(["policy-target", "--data", str(target_ws / "data.csv"),

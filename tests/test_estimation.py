@@ -26,6 +26,7 @@ from flexlogit.likelihood import (
     log_likelihood,
 )
 
+from bfgs_oracle import identity_bfgs, identity_start
 from conftest import mnl_spec, scobit_dataset, spec_for, toy_dataset
 
 LN4 = 1.3862943611198906
@@ -343,3 +344,71 @@ def test_objective_calls_are_line_search_trials_plus_two(case, mnl_sim_small,
     assert (res.optimizer_used, res.status) == (stage, status)
     assert counts["all"] == counts["trials"] + 2
     assert counts["trials"] >= res.iterations
+
+
+SCALED_START_FAMILIES = ("mnl", "cloglog", "scobit", "uneven_logit", "asym_logit", "czado")
+
+
+@pytest.fixture(scope="module")
+def scobit_4000():
+    return scobit_dataset(4000, 2)
+
+
+@pytest.mark.parametrize("transform", SCALED_START_FAMILIES)
+def test_scaled_start_reaches_the_identity_start_optimum(transform, scobit_4000):
+    """A cold fit starts BFGS at the gradient's scale and ends where the
+    identity-start BFGS of the oracle ends."""
+    spec = spec_for(transform)
+    design = build_design(scobit_4000, spec)
+    res = fit(design, spec)
+    with identity_start():
+        want = fit(design, spec)
+    assert res.status == want.status == "converged"
+    assert res.ll == pytest.approx(want.ll, abs=1e-6)
+
+
+@pytest.mark.parametrize("transform", ["mnl", "scobit"])
+def test_given_identity_is_the_unscaled_start(transform):
+    """An inverse Hessian passed with the init is used as given: passing I
+    repeats the identity-start oracle bit for bit."""
+    d, spec = scobit_dataset(300, 1), spec_for(transform)
+    design = build_design(d, spec)
+    x0 = default_init(design, spec)
+    res = fit(design, spec, init=estimation._WarmStart(x0, np.eye(x0.shape[0])))
+    with identity_start():
+        want = fit(design, spec)
+    assert np.array_equal(res.packed, want.packed)
+    assert (res.iterations, res.status, res.optimizer_used) == (
+        want.iterations, want.status, want.optimizer_used)
+    assert res.ll_path == want.ll_path
+
+
+def test_scaled_start_first_direction_and_first_update():
+    g = np.array([30.0, -40.0, 0.0])  # |g| = 50
+    direction, update = estimation._make_bfgs()
+    assert np.array_equal(direction(np.zeros(3), g), -g / 50.0)
+    small = np.array([0.3, -0.4, 0.0])  # |g| < 1: the plain steepest step
+    assert np.array_equal(direction(np.zeros(3), small), -small)
+    s, y = np.array([0.1, 0.2, -0.1]), np.array([0.5, 0.1, -0.2])
+    update(s, y)
+    # the oracle's update from (s'y / y'y) I is the scaled start's first update
+    h0 = float(s @ y) / float(y @ y) * np.eye(3)
+    want_direction, want_update = identity_bfgs(h0)
+    want_update(s, y)
+    assert np.array_equal(direction(np.zeros(3), g), want_direction(np.zeros(3), g))
+
+
+def test_scaled_start_needs_few_objective_evaluations_at_large_n(monkeypatch):
+    """The score is a sum over 20,000 observations; from the unscaled identity
+    the first BFGS steps backtracked a dozen times each."""
+    calls = [0]
+    ll = estimation.ll_with_design
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return ll(*args, **kwargs)
+
+    monkeypatch.setattr(estimation, "ll_with_design", counted)
+    res = fit(scobit_dataset(20000, 2), spec_for("scobit"))
+    assert res.converged
+    assert calls[0] <= res.iterations + 10

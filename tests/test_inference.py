@@ -27,6 +27,7 @@ from flexlogit.inference import (
 from flexlogit.likelihood import build_design
 from flexlogit.validation import cross_validate, make_folds
 
+from bfgs_oracle import identity_start
 from conftest import mnl_spec, scobit_dataset, spec_for, toy_dataset
 from interval_oracle import percentile_interval
 from resample_oracle import resample_ids
@@ -228,30 +229,33 @@ SEEDED_CASES = {
 
 @functools.lru_cache(maxsize=None)
 def _unseeded_run(case, B=6, seed=3):
-    """The stratified bootstrap with every refit's BFGS started from the
-    identity: the oracle of the curvature-seeded jackknife."""
+    """The stratified bootstrap with every refit, warm or cold, run by the
+    identity-start BFGS of ``bfgs_oracle``, from the package's full fit: the
+    oracle of the replicates and of the curvature-seeded jackknife."""
     make, spec = SEEDED_CASES[case]
     data = make()
     design = build_design(data, spec)
     full = fit(design, spec)
     uniq = data.unique_obs()
-    reps = [
-        _refit(design.take(np.searchsorted(uniq, resample_ids(
-            data, np.random.default_rng(np.random.SeedSequence((seed, b))), True
-        ))), full.packed, FitOptions())[0]
-        for b in range(B)
-    ]
-    n = uniq.shape[0]
-    jack = [_refit(design.take(np.delete(np.arange(n), i)), full.packed,
-                   FitOptions())[0] for i in range(n)]
+    eye = np.eye(full.packed.shape[0])
+    with identity_start():
+        reps = [
+            _refit(design.take(np.searchsorted(uniq, resample_ids(
+                data, np.random.default_rng(np.random.SeedSequence((seed, b))), True
+            ))), full.packed, FitOptions(), eye)[0]
+            for b in range(B)
+        ]
+        n = uniq.shape[0]
+        jack = [_refit(design.take(np.delete(np.arange(n), i)), full.packed,
+                       FitOptions(), eye)[0] for i in range(n)]
     return full, np.vstack(reps), np.vstack(jack)
 
 
 @pytest.mark.parametrize("case", sorted(SEEDED_CASES))
 def test_seeded_jackknife_matches_identity_start(case):
     """Jackknife refits start BFGS from the full-sample (-H)^-1 and land
-    within 10 tol_grad of the identity-start refits; the replicates and the
-    full fit keep the identity start and their bits."""
+    within 10 tol_grad of the identity-start refits; the replicates ask for
+    the identity and repeat the identity-start oracle's bits."""
     make, spec = SEEDED_CASES[case]
     run = bootstrap(make(), spec, B=6, seed=3)
     full, reps, jack = _unseeded_run(case)
@@ -267,7 +271,11 @@ def test_jackknife_without_positive_definite_curvature_is_unseeded(monkeypatch):
     # -H = -I is not positive definite: the refits start from the identity
     monkeypatch.setattr(inference, "fd_hessian",
                         lambda design, *a: np.eye(design.packing.dim))
-    run = bootstrap(make(), spec, B=6, seed=3)
+    d = make()
+    design = build_design(d, spec)
+    eye = np.eye(design.packing.dim)
+    assert np.array_equal(_curvature_seed(design, fit(design, spec), FitOptions()), eye)
+    run = bootstrap(d, spec, B=6, seed=3)
     full, reps, jack = _unseeded_run("scobit")
     assert np.array_equal(run.replicate_estimates, reps)
     assert np.array_equal(run.jackknife_estimates, jack)
@@ -292,7 +300,8 @@ def test_seeded_jackknife_refits_evaluate_less(case, monkeypatch):
     opts = FitOptions()
     full = fit(design, spec, options=opts)
     h0 = _curvature_seed(design, full, opts)
-    assert h0 is not None
+    eye = np.eye(h0.shape[0])
+    assert not np.array_equal(h0, eye)
     calls = [0]
     objective = estimation.ll_with_design
 
@@ -310,7 +319,7 @@ def test_seeded_jackknife_refits_evaluate_less(case, monkeypatch):
                    opts, seed)
         return calls[0]
 
-    assert evaluations(h0) < evaluations(None)
+    assert evaluations(h0) < evaluations(eye)
 
 
 def test_refit_from_inadmissible_optimum_falls_back_to_cold_fit():
@@ -321,7 +330,7 @@ def test_refit_from_inadmissible_optimum_falls_back_to_cold_fit():
     x[-1] = -800.0  # the last shape underflows to 0 and stays there
     with pytest.raises(InadmissibleOptimum):
         fit(design, spec, init=x)
-    packed, converged = _refit(design, x, FitOptions())
+    packed, converged = _refit(design, x, FitOptions(), np.eye(design.packing.dim))
     cold = fit(design, spec)
     assert converged and cold.converged
     assert np.array_equal(packed, cold.packed)
