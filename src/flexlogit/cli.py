@@ -298,7 +298,8 @@ def cmd_policy_target(args) -> int:
     truth_spec = ModelSpec.from_json(args.truth_spec)
     opts = _load_options(args)
     related_alts = tuple(args.related_alts or ())
-    check_targeting(data, args.target_alt, related_alts, args.multiplier)
+    check_targeting(data, args.target_alt, related_alts, args.multiplier,
+                    args.cost_column)
     selection = fit(data, sel_spec, options=opts)
     truth = (
         selection

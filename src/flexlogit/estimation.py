@@ -1,13 +1,14 @@
-"""Maximum likelihood estimation via a staged ascent with backtracking.
+"""Maximum likelihood estimation via one ascent loop with backtracking.
 
 ``fit`` maximizes the (optionally weighted) log-likelihood over the packed
-parameter vector. Two stages run in order until one converges:
+parameter vector. One loop takes two kinds of step:
 
-1. BFGS with an inverse-Hessian approximation,
-2. Newton steps on a finite-difference Hessian, eigenvalue-shifted so the
-   direction is always an ascent direction.
+1. BFGS steps with an inverse-Hessian approximation, until the score
+   converges, two accepted steps stall or the line search fails;
+2. then Newton steps on a finite-difference Hessian, eigenvalue-shifted so
+   the direction is always an ascent direction, with the stall count reset.
 
-A cold BFGS stage starts at the gradient's scale rather than from the plain
+A cold BFGS phase starts at the gradient's scale rather than from the plain
 identity: its first trial step has unit length, and the identity is scaled
 by s'y / y'y before the first update. The score is a sum over observations,
 so at large n the plain identity's first steps overshoot by orders of
@@ -15,21 +16,22 @@ magnitude and the line search rejects a dozen trials per step. Refits that
 pass their own inverse Hessian (the bootstrap's ``_WarmStart``) get it
 unscaled.
 
-Both stages share one backtracking line search enforcing the Armijo
+Both phases share one backtracking line search enforcing the Armijo
 sufficient-increase condition, so the sequence of accepted log-likelihood
 values is non-decreasing. Convergence means the sup-norm of the score drops
-below ``tol_grad``. A stage that can no longer improve the objective
-(``"stalled"``: relative change below ``tol_ll`` on two consecutive accepted
-steps; ``"line_search_failed"``: no step length gives sufficient increase)
-or runs out of iterations (``"max_iters"``) hands its point to the next
-stage; the last stage's status is the fit's.
+below ``tol_grad``. The Newton phase ends the fit when it can no longer
+improve the objective: ``"stalled"`` (relative change below ``tol_ll`` on two
+consecutive accepted steps) or ``"line_search_failed"`` (no step length gives
+sufficient increase, or a difference step of its Hessian leaves the
+family's domain). Both phases count their accepted steps against one budget
+of ``max_iter``, so a fit makes at most ``max_iter`` iterations; a fit that
+uses it up ends ``"max_iters"``, in whichever phase it is.
 
 ``fit`` computes no Hessian at the optimum. ``fd_hessian(data, spec,
 res.params, use_weights)`` gives one on request: a central finite difference
 of the analytic score. No analytic second derivatives exist anywhere in the
 package.
 """
-
 from __future__ import annotations
 
 import json
@@ -125,8 +127,8 @@ class EstimationResult:
     score: np.ndarray
     grad_norm_inf: float
     status: str  # converged | stalled | line_search_failed | max_iters
-    iterations: int
-    optimizer_used: str
+    iterations: int  # accepted steps of both phases, at most max_iter
+    optimizer_used: str  # "bfgs", or "bfgs+newton" once the Newton phase began
     ll_path: list[float] = field(default_factory=list)
     n_floored: int = 0
 
@@ -137,7 +139,7 @@ class EstimationResult:
 
 @dataclass(frozen=True)
 class _WarmStart:
-    """A packed start point together with the inverse Hessian the BFGS stage
+    """A packed start point together with the inverse Hessian the BFGS phase
     starts from in place of the identity; ``fit`` accepts it as ``init``."""
 
     packed: np.ndarray
@@ -218,38 +220,10 @@ def _backtrack(f, x, fx, gx, d):
     return None
 
 
-def _stage_loop(direction, update, f, g, x, fx, gx, opts):
-    """Shared iteration scaffold; returns (x, fx, gx, iters, status, path).
-
-    ``direction(x, gx)`` proposes a step; ``update(s, y)``, when given, sees
-    every accepted step and its change of gradient."""
-    path = []
-    stalls = 0
-    for it in range(opts.max_iter):
-        if np.max(np.abs(gx)) < opts.tol_grad:
-            return x, fx, gx, it, "converged", path
-        step = _backtrack(f, x, fx, gx, direction(x, gx))
-        if step is None:
-            return x, fx, gx, it, "line_search_failed", path
-        x_new, f_new = step
-        g_new = g(x_new)
-        if update is not None:
-            update(x_new - x, g_new - gx)
-        rel = abs(f_new - fx) / max(1.0, abs(f_new))
-        x, fx, gx = x_new, f_new, g_new
-        path.append(-fx)
-        if np.max(np.abs(gx)) < opts.tol_grad:
-            return x, fx, gx, it + 1, "converged", path
-        stalls = stalls + 1 if rel < opts.tol_ll else 0
-        if stalls >= 2:
-            return x, fx, gx, it + 1, "stalled", path
-    return x, fx, gx, opts.max_iter, "max_iters", path
-
-
 def _make_bfgs(h0=None):
     """BFGS over its own inverse Hessian; returns (direction, update).
 
-    A caller's inverse Hessian ``h0`` is used as given. Without one the stage
+    A caller's inverse Hessian ``h0`` is used as given. Without one the phase
     starts from the identity at the gradient's scale: the first direction is
     -g / max(1, |g|_2), a unit-length first trial, and just before the first
     update H becomes (s'y / y'y) I (Shanno & Phua 1978; Nocedal & Wright,
@@ -318,31 +292,45 @@ def fd_hessian(design_or_data, spec, params, use_weights=False) -> np.ndarray:
     return _fd_hessian_of(grad_ll, design.packing.pack(params))
 
 
-def _run_cascade(f, g, x0, opts, h0=None):
+def _ascend(f, g, x0, opts, h0=None):
+    """The ascent from ``x0``; returns (x, fx, gx, iterations, status,
+    optimizer_used, ll_path)."""
     fx = f(x0)
     if not np.isfinite(fx):
         raise NonFiniteObjectiveAtInit(
             "log-likelihood is not finite at the starting point"
         )
-    gx = g(x0)
-    path = [-fx]
-    x = x0.copy()
-    total_iters = 0
-    stages_used = []
-    stages = (
-        ("bfgs", *_make_bfgs(h0)),
-        ("newton", _make_newton_direction(g), None),
-    )
-    for name, direction, update in stages:
-        x, fx, gx, iters, status, seg = _stage_loop(
-            direction, update, f, g, x, fx, gx, opts
-        )
-        total_iters += iters
-        path += seg
-        stages_used.append(name)
-        if status == "converged":
-            break
-    return x, fx, gx, total_iters, status, "+".join(stages_used), path
+    x, gx, path = x0.copy(), g(x0), [-fx]
+    direction, update = _make_bfgs(h0)
+    phase, it, stalls = "bfgs", 0, 0
+    while True:
+        if np.max(np.abs(gx)) < opts.tol_grad:
+            return x, fx, gx, it, "converged", phase, path
+        if it == opts.max_iter:
+            return x, fx, gx, it, "max_iters", phase, path
+        try:
+            step = _backtrack(f, x, fx, gx, direction(x, gx))
+        except (DomainViolation, NonFiniteIndex):  # a Newton difference step
+            step = None
+        if step is None:
+            status = "line_search_failed"
+        else:
+            x_new, f_new = step
+            g_new = g(x_new)
+            if update is not None:
+                update(x_new - x, g_new - gx)
+            rel = abs(f_new - fx) / max(1.0, abs(f_new))
+            x, fx, gx = x_new, f_new, g_new
+            path.append(-fx)
+            it += 1
+            stalls = stalls + 1 if rel < opts.tol_ll else 0
+            if stalls < 2 or np.max(np.abs(gx)) < opts.tol_grad:
+                continue
+            status = "stalled"
+        if phase != "bfgs":
+            return x, fx, gx, it, status, phase, path
+        direction, update = _make_newton_direction(g), None
+        phase, stalls = "bfgs+newton", 0
 
 
 def fit(
@@ -354,7 +342,7 @@ def fit(
     """Maximize the log-likelihood; returns the best point found.
 
     ``init`` may be a packed vector or ``NaturalParams``; when omitted the
-    share-matched default is used. With ``multistart=k`` the cascade also runs
+    share-matched default is used. With ``multistart=k`` the ascent also runs
     from k seeded perturbations of the init and the best final
     log-likelihood wins. ``data`` may be a dataset or a design compiled
     from one against ``spec``; a design is used as is, and a design compiled
@@ -391,7 +379,7 @@ def fit(
     first_error = None
     for x_start in starts:
         try:
-            run = _run_cascade(f, g, x_start, opts, h0)
+            run = _ascend(f, g, x_start, opts, h0)
         except NonFiniteObjectiveAtInit as e:
             if first_error is None:
                 first_error = e

@@ -37,8 +37,10 @@ import numpy as np
 from .data import ChoiceDataset
 from .errors import (
     DegenerateDistribution,
+    DomainViolation,
     EstimationError,
     NegativeStatBeyondSlack,
+    NonFiniteIndex,
     TooManyFailures,
 )
 from .estimation import EstimationResult, FitOptions, _WarmStart, fd_hessian, fit
@@ -210,12 +212,13 @@ def bootstrap(
 
 def _curvature_seed(design, full, opts) -> np.ndarray:
     """(-H)^-1 at the full-sample estimate, or the identity when the
-    finite-difference -H is not positive definite."""
-    H = fd_hessian(design, design.spec, full.params, opts.use_weights)
+    finite-difference -H is not positive definite or a difference step
+    leaves the family's domain."""
     try:
-        L = np.linalg.cholesky(-H)
-    except np.linalg.LinAlgError:
-        return np.eye(H.shape[0])
+        L = np.linalg.cholesky(-fd_hessian(design, design.spec, full.params,
+                                           opts.use_weights))
+    except (np.linalg.LinAlgError, DomainViolation, NonFiniteIndex):
+        return np.eye(full.packed.shape[0])
     L_inv = np.linalg.inv(L)
     return L_inv.T @ L_inv
 

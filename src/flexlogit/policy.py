@@ -297,7 +297,8 @@ class TargetingProblem:
     ``cost_multiplier`` times the fare, e.g. workdays per month when fares
     are per-trip and the pass is monthly. A multiplier that is not finite
     and > 0, or a target or related alternative the data does not have,
-    raises ``SpecError``.
+    raises ``SpecError``; a cost column the data does not have raises
+    ``MissingColumn``.
     """
 
     data: ChoiceDataset
@@ -310,11 +311,11 @@ class TargetingProblem:
 
     def __post_init__(self):
         check_targeting(self.data, self.target_alt, self.related_alts,
-                        self.cost_multiplier)
+                        self.cost_multiplier, self.cost_column)
 
 
 def check_targeting(data: ChoiceDataset, target_alt, related_alts,
-                    cost_multiplier) -> None:
+                    cost_multiplier, cost_column) -> None:
     """The checks of ``TargetingProblem``, which need no fitted model: a
     caller can run them on the data before fitting the two models."""
     m = cost_multiplier
@@ -328,6 +329,7 @@ def check_targeting(data: ChoiceDataset, target_alt, related_alts,
         if a not in alts:
             raise SpecError(f"related_alts entry {a!r} is not an alternative "
                             f"of the data {list(alts)}")
+    data.column(cost_column)
 
 
 @dataclass

@@ -21,7 +21,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import ChoiceDataset
-from .errors import EstimationError, KTooLarge, SparseStratumWarning
+from .errors import (
+    DomainViolation,
+    EstimationError,
+    KTooLarge,
+    NonFiniteIndex,
+    SparseStratumWarning,
+)
 from .estimation import FitOptions, fit
 from .likelihood import ModelSpec, ll_with_design, build_design
 
@@ -102,9 +108,10 @@ def cross_validate(
     and its training set every other position. A ``plan`` that does not
     assign exactly the data's observations, or assigns one to a fold outside
     ``range(plan.k)``, raises ``ValueError`` naming the fold, as does a
-    ``threads`` that is not an integer >= 1. A fold
-    whose fit raises or fails to converge is excluded from that spec's mean
-    and counted under ``failures``.
+    ``threads`` that is not an integer >= 1. A fold whose fit raises or fails
+    to converge, or whose held-out observations cannot be scored at the
+    training optimum (an index outside the family's domain), is excluded from
+    that spec's mean and counted under ``failures``.
     """
     from .parallel import check_threads, parallel_map
 
@@ -130,11 +137,11 @@ def cross_validate(
         train = design.take(np.flatnonzero(fold != f))
         try:
             res = fit(train, design.spec, options=opts)
-        except EstimationError:
+            test_ll, _ = ll_with_design(design.take(np.flatnonzero(fold == f)),
+                                        res.packed, opts.use_weights)
+        except (EstimationError, DomainViolation, NonFiniteIndex):
             return {"spec": label, "fold": f, "converged": False,
                     "train_ll": np.nan, "test_ll": np.nan}
-        test_ll, _ = ll_with_design(design.take(np.flatnonzero(fold == f)), res.packed,
-                                    opts.use_weights)
         return {"spec": label, "fold": f, "converged": res.converged,
                 "train_ll": res.ll, "test_ll": test_ll}
 

@@ -47,8 +47,12 @@ def spec_for(transform, ref=3, columns=("time", "cost"), shape_ref=None):
 
 
 def scobit_dataset(n_obs, seed, weights=None):
-    """Simulated scobit market (J=3) whose fits converge in few iterations
-    for every family; optional per-observation weights."""
+    """Simulated scobit market (J=3); optional per-observation weights.
+
+    mnl, cloglog, scobit, uneven_logit and czado converge on it; asym_logit
+    may end ``stalled`` at its kink, qgev's Newton phase can leave its domain
+    (``line_search_failed``), and exponential, rayleigh, weibull and pareto
+    cannot start at V = 0."""
     true = NaturalParams(
         beta=[-1.0, 0.8], tau={1: 0.4, 2: -0.2}, gamma={1: 2.0, 2: 1.0, 3: 0.5}
     )

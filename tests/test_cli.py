@@ -645,6 +645,22 @@ def test_policy_target_bad_inputs_exit_2(target_ws, tmp_path, capsys, monkeypatc
     assert f"configuration error: {message}" in capsys.readouterr().err
 
 
+def test_policy_target_missing_cost_column_exits_3_before_any_fit(
+        target_ws, tmp_path, capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a model was fitted")
+
+    monkeypatch.setattr(cli, "fit", refuse)
+    spec = str(target_ws / "mnl.json")
+    rc = main(["policy-target", "--data", str(target_ws / "data.csv"),
+               "--selection-spec", spec, "--truth-spec", spec,
+               "--target-alt", "1", "--cost-column", "nosuch", "--budgets", "500",
+               "--multiplier", "1.0", "--out", str(tmp_path / "tgt")])
+    assert rc == 3
+    assert "data error: no covariate column named 'nosuch'" in capsys.readouterr().err
+    assert not (tmp_path / "tgt").exists()
+
+
 def test_cli_fits_compute_no_hessian(ws, target_ws, tmp_path, monkeypatch):
     """No fit computes a Hessian; the bootstrap computes exactly one, at the
     full-sample estimate, to seed its jackknife refits."""

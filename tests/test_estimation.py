@@ -9,6 +9,7 @@ from flexlogit import estimation
 from flexlogit.data import ChoiceDataset
 from flexlogit.errors import (
     DegenerateSharesWarning,
+    DomainViolation,
     EstimationError,
     InadmissibleOptimum,
     InvalidParams,
@@ -27,6 +28,7 @@ from flexlogit.likelihood import (
 )
 
 from bfgs_oracle import identity_bfgs, identity_start
+from cascade_oracle import staged
 from conftest import mnl_spec, scobit_dataset, spec_for, toy_dataset
 
 LN4 = 1.3862943611198906
@@ -129,8 +131,8 @@ def test_fit_computes_no_hessian(mnl_sim_small, monkeypatch):
     monkeypatch.setattr("flexlogit.estimation.fd_hessian", boom)
     data, spec, _ = mnl_sim_small
     assert fit(data, spec).converged
-    # the Newton stage differences the score on its own
-    res = fit(data, spec, options=FitOptions(max_iter=1, tol_grad=1e-14))
+    # the Newton phase, reached through a stall, differences the score on its own
+    res = fit(data, spec, options=FitOptions(tol_ll=1e6, tol_grad=1e-14))
     assert res.optimizer_used == "bfgs+newton"
     assert not hasattr(res, "hessian")
     assert list(inspect.signature(fit).parameters) == ["data", "spec", "init", "options"]
@@ -209,8 +211,8 @@ def test_budget_exhaustion_reports_max_iters(mnl_sim_small):
     data, spec, _ = mnl_sim_small
     res = fit(data, spec, options=FitOptions(max_iter=1, tol_grad=1e-14))
     assert res.status == "max_iters"
-    assert res.optimizer_used == "bfgs+newton"
-    assert res.iterations == 2
+    assert res.optimizer_used == "bfgs"
+    assert res.iterations == 1
 
 
 def test_fd_hessian_matches_score_differences(mnl_sim_small):
@@ -309,6 +311,111 @@ def test_failed_bfgs_line_search_hands_over_to_newton(monkeypatch):
     assert res.ll == pytest.approx(want.ll, abs=1e-8)
 
 
+def _refit_case():
+    """A replicate-style refit: a resample warm-started from the full fit
+    with the identity as its inverse Hessian."""
+    data, spec = scobit_dataset(400, 1), spec_for("scobit")
+    design = build_design(data, spec)
+    full = fit(design, spec)
+    rows = np.sort(np.random.default_rng(5).integers(0, 400, 400))
+    return design.take(rows), spec, estimation._WarmStart(full.packed, np.eye(full.packed.size))
+
+
+# case -> (data, spec, init) and the oracle's optimizer and status
+ONE_LOOP_CASES = {
+    "mnl_converges_in_bfgs": (lambda: (scobit_dataset(400, 1), spec_for("mnl"), None),
+                              "bfgs", "converged"),
+    "scobit_stalls_then_converges": (
+        lambda: (scobit_dataset(400, 1), spec_for("scobit"), None),
+        "bfgs+newton", "converged"),
+    "uneven_logit_stalls_then_converges": (
+        lambda: (scobit_dataset(400, 1), spec_for("uneven_logit"), None),
+        "bfgs+newton", "converged"),
+    "czado_stalls_then_converges": (
+        lambda: (scobit_dataset(400, 1), spec_for("czado"), None),
+        "bfgs+newton", "converged"),
+    "asym_logit_stalls_twice": (
+        lambda: (scobit_dataset(300, 1), spec_for("asym_logit"), None),
+        "bfgs+newton", "stalled"),
+    "forced_line_search_failure": (lambda: (toy_dataset(n_obs=40), mnl_spec(), None),
+                                   "bfgs+newton", "converged"),
+    "warm_refit": (_refit_case, "bfgs+newton", "converged"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ONE_LOOP_CASES))
+def test_one_loop_repeats_the_staged_oracle(case, monkeypatch):
+    """A fit that ends within ``max_iter`` accepted steps gets the bits of
+    the two budgeted stages of ``cascade_oracle``."""
+    make, stage, status = ONE_LOOP_CASES[case]
+    data, spec, init = make()
+    if case == "forced_line_search_failure":
+        calls = []
+        backtrack = estimation._backtrack
+
+        def refuse_first(*args):
+            calls.append(1)
+            return None if len(calls) == 1 else backtrack(*args)
+
+        monkeypatch.setattr(estimation, "_backtrack", refuse_first)
+    res = fit(data, spec, init=init)
+    if case == "forced_line_search_failure":
+        calls.clear()
+    with staged():
+        want = fit(data, spec, init=init)
+    assert (want.optimizer_used, want.status) == (stage, status)
+    assert want.iterations <= FitOptions().max_iter
+    assert np.array_equal(res.packed, want.packed)
+    assert res.ll == want.ll
+    assert (res.iterations, res.status, res.optimizer_used) == (
+        want.iterations, want.status, want.optimizer_used)
+    assert res.ll_path == want.ll_path
+
+
+def test_one_budget_covers_both_phases(mnl_sim_small):
+    """Every accepted step stalls: BFGS stalls after two, and the Newton phase
+    gets what is left of the budget, not a budget of its own."""
+    data, spec, _ = mnl_sim_small
+    opts = FitOptions(tol_ll=1e6, tol_grad=1e-14, max_iter=3)
+    res = fit(data, spec, options=opts)
+    assert (res.status, res.optimizer_used, res.iterations) == (
+        "max_iters", "bfgs+newton", 3)
+    assert len(res.ll_path) == 4
+    with staged():
+        want = fit(data, spec, options=opts)
+    assert (want.status, want.iterations) == ("stalled", 4)
+
+
+def test_budget_used_up_in_bfgs_ends_the_fit(mnl_sim_small, monkeypatch):
+    """A BFGS phase that uses up ``max_iter`` ends the fit: one gradient at
+    the start and one per accepted step, and no Newton phase, whose every
+    iteration would difference the score 2 dim times."""
+    calls = []
+    grad = estimation.gradient_with_design
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return grad(*args, **kwargs)
+
+    monkeypatch.setattr(estimation, "gradient_with_design", counted)
+    data, spec, _ = mnl_sim_small
+    res = fit(data, spec, options=FitOptions(max_iter=5, tol_grad=1e-14))
+    assert (res.status, res.optimizer_used, res.iterations) == ("max_iters", "bfgs", 5)
+    assert len(calls) == 6
+
+
+def test_newton_difference_step_outside_the_domain_ends_the_fit():
+    """qgev's domain depends on its shapes; the Newton phase's difference
+    steps leave it, which ends the fit as a failed line search instead of
+    raising out of ``fit``."""
+    data, spec = scobit_dataset(400, 1), spec_for("qgev")
+    res = fit(data, spec)
+    assert (res.status, res.optimizer_used) == ("line_search_failed", "bfgs+newton")
+    assert np.isfinite(res.ll) and res.iterations < FitOptions().max_iter
+    with staged(), pytest.raises(DomainViolation):
+        fit(data, spec)
+
+
 @pytest.mark.parametrize("case", ["bfgs", "newton", "max_iters"])
 def test_objective_calls_are_line_search_trials_plus_two(case, mnl_sim_small,
                                                          monkeypatch):
@@ -320,7 +427,7 @@ def test_objective_calls_are_line_search_trials_plus_two(case, mnl_sim_small,
         "newton": (scobit_dataset(100, 0), spec_for("scobit"), FitOptions(),
                    "bfgs+newton", "converged"),
         "max_iters": (*mnl_sim_small[:2], FitOptions(max_iter=1, tol_grad=1e-14),
-                      "bfgs+newton", "max_iters"),
+                      "bfgs", "max_iters"),
     }[case]
     counts = {"all": 0, "trials": 0}
     inside = []

@@ -8,6 +8,7 @@ import pytest
 from flexlogit.data import ChoiceDataset
 from flexlogit.errors import (
     DegenerateDistribution,
+    DomainViolation,
     InadmissibleOptimum,
     NegativeStatBeyondSlack,
     TooManyFailures,
@@ -279,6 +280,19 @@ def test_jackknife_without_positive_definite_curvature_is_unseeded(monkeypatch):
     full, reps, jack = _unseeded_run("scobit")
     assert np.array_equal(run.replicate_estimates, reps)
     assert np.array_equal(run.jackknife_estimates, jack)
+
+
+def test_jackknife_seed_outside_the_domain_is_the_identity():
+    """qgev's difference steps at its full fit leave its shape-dependent
+    domain; the jackknife then starts from the identity, as it does for a -H
+    that is not positive definite."""
+    d, spec = scobit_dataset(400, 1), spec_for("qgev")
+    design = build_design(d, spec)
+    full = fit(design, spec)
+    with pytest.raises(DomainViolation):
+        inference.fd_hessian(design, spec, full.params)
+    assert np.array_equal(_curvature_seed(design, full, FitOptions()),
+                          np.eye(design.packing.dim))
 
 
 def test_seeded_bootstrap_does_not_depend_on_threads():

@@ -18,6 +18,7 @@ from flexlogit.policy import (
     SelectionReport,
     TargetingProblem,
     apply_scenario,
+    check_targeting,
     enumerate_shares,
     select_targets,
     sweep,
@@ -357,15 +358,16 @@ def test_targeting_efficiency(targeting_fixture):
 
 def test_targeting_requires_cost_column(targeting_fixture):
     problem = targeting_fixture
-    bad = TargetingProblem(
-        data=problem.data,
-        selection_model=problem.selection_model,
-        truth_model=problem.truth_model,
-        target_alt=1,
-        cost_column="price",
-    )
-    with pytest.raises(MissingColumn):
-        select_targets(bad, [100.0])
+    with pytest.raises(MissingColumn, match="price"):
+        TargetingProblem(
+            data=problem.data,
+            selection_model=problem.selection_model,
+            truth_model=problem.truth_model,
+            target_alt=1,
+            cost_column="price",
+        )
+    with pytest.raises(MissingColumn, match="price"):
+        check_targeting(problem.data, 1, (), 22.0, "price")
 
 
 def test_targeting_excludes_obs_without_target_alt(targeting_fixture):

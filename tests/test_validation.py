@@ -3,8 +3,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from flexlogit import estimation
-from flexlogit.errors import KTooLarge, SparseStratumWarning
+from flexlogit import estimation, validation
+from flexlogit.errors import DomainViolation, KTooLarge, SparseStratumWarning
 from flexlogit.estimation import FitOptions, fit
 from flexlogit.likelihood import build_design, ll_with_design
 from flexlogit.validation import FoldPlan, cross_validate, make_folds
@@ -153,6 +153,27 @@ def test_cross_validate_counts_inadmissible_optima_as_failed(monkeypatch):
     d = scobit_dataset(60, seed=2)
     rep = cross_validate(d, {"u": spec_for("uneven_logit")}, k=3, seed=0)
     assert rep.failures == {"u": 3}
+    assert all(not r["converged"] and np.isnan(r["test_ll"]) for r in rep.rows)
+
+
+def test_cross_validate_counts_qgev_folds_as_failed():
+    """qgev's Newton difference steps and its held-out scores can leave its
+    shape-dependent domain; each such fold fails, and the run goes on."""
+    d = scobit_dataset(400, 1)
+    rep = cross_validate(d, {"q": spec_for("qgev"), "m": spec_for("mnl")}, k=3)
+    assert rep.failures == {"q": 3, "m": 0}
+    assert rep.ranking() == ["m", "q"]
+
+
+def test_cross_validate_counts_unscorable_folds_as_failed(monkeypatch):
+    """A held-out fold whose index leaves the domain at the training optimum
+    cannot be scored: the fold fails instead of aborting the run."""
+    def outside(*args, **kwargs):
+        raise DomainViolation("mnl", "V > 0", -1.0)
+
+    monkeypatch.setattr(validation, "ll_with_design", outside)
+    rep = cross_validate(toy_dataset(n_obs=30, seed=3), {"m": mnl_spec()}, k=3)
+    assert rep.failures == {"m": 3}
     assert all(not r["converged"] and np.isnan(r["test_ll"]) for r in rep.rows)
 
 
