@@ -32,6 +32,7 @@ res.params, use_weights)`` gives one on request: a central finite difference
 of the analytic score. No analytic second derivatives exist anywhere in the
 package.
 """
+
 from __future__ import annotations
 
 import json
@@ -310,8 +311,8 @@ def _ascend(f, g, x0, opts, h0=None):
             return x, fx, gx, it, "max_iters", phase, path
         try:
             step = _backtrack(f, x, fx, gx, direction(x, gx))
-        except (DomainViolation, NonFiniteIndex):  # a Newton difference step
-            step = None
+        except (DomainViolation, NonFiniteIndex):  # a Newton difference step left
+            step = None  # the domain; f itself maps such points to inf
         if step is None:
             status = "line_search_failed"
         else:

@@ -14,7 +14,7 @@ accelerated (BCa) construction: the bias correction z0 is read off the share
 of replicates below the point estimate (ties count half) and the acceleration
 is the standard jackknife skewness ratio.
 
-Each jackknife refit's BFGS stage starts from the full-sample curvature,
+Each jackknife refit's BFGS phase starts from the full-sample curvature,
 (-H)^-1 with H the finite-difference Hessian at the estimate: an n-1 row
 sample has almost the full sample's curvature, so the refits take a fraction
 of the evaluations, and they stop within a few tol_grad of where
@@ -159,9 +159,10 @@ def bootstrap(
     back to a cold fit from the default init if that fails. The jackknife
     refits also start BFGS from the inverse of the full-sample -H (one
     finite-difference Hessian, 2 dim score evaluations), or from the identity
-    when -H is not positive definite. Replicates, whose samples differ more
-    and may stop on flat ridges, start BFGS from the unscaled identity, so
-    their end points do not move with the cold fit's scaled start. Raises
+    when -H is not positive definite or its difference steps leave the
+    domain. Replicates, whose samples differ more and may stop on flat
+    ridges, start BFGS from the unscaled identity, so their end points do not
+    move with the cold fit's scaled start. Raises
     ``TooManyFailures`` when more than 10% of replicates fail to converge,
     and ``ValueError`` before any fit unless ``threads`` is an integer >= 1.
     """
@@ -224,7 +225,7 @@ def _curvature_seed(design, full, opts) -> np.ndarray:
 
 
 def _refit(sample, x_hat, opts, h0) -> tuple[np.ndarray, bool]:
-    """Warm refit from ``x_hat``, its BFGS stage started from the inverse
+    """Warm refit from ``x_hat``, its BFGS phase started from the inverse
     Hessian ``h0`` as given (replicates pass the identity to keep the
     unscaled start); a refit that fails or does not converge is redone cold
     from the default init, with a cold fit's gradient-scaled start."""

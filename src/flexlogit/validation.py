@@ -21,13 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import ChoiceDataset
-from .errors import (
-    DomainViolation,
-    EstimationError,
-    KTooLarge,
-    NonFiniteIndex,
-    SparseStratumWarning,
-)
+from .errors import (DomainViolation, EstimationError, KTooLarge, NonFiniteIndex,
+                     SparseStratumWarning)
 from .estimation import FitOptions, fit
 from .likelihood import ModelSpec, ll_with_design, build_design
 

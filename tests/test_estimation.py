@@ -309,6 +309,12 @@ def test_failed_bfgs_line_search_hands_over_to_newton(monkeypatch):
     assert res.optimizer_used == "bfgs+newton"
     assert res.converged
     assert res.ll == pytest.approx(want.ll, abs=1e-8)
+    # the two budgeted stages of the oracle take the same steps
+    calls.clear()
+    with staged():
+        staged_res = fit(data, spec)
+    assert np.array_equal(res.packed, staged_res.packed)
+    assert (res.iterations, res.ll_path) == (staged_res.iterations, staged_res.ll_path)
 
 
 def _refit_case():
@@ -337,30 +343,18 @@ ONE_LOOP_CASES = {
     "asym_logit_stalls_twice": (
         lambda: (scobit_dataset(300, 1), spec_for("asym_logit"), None),
         "bfgs+newton", "stalled"),
-    "forced_line_search_failure": (lambda: (toy_dataset(n_obs=40), mnl_spec(), None),
-                                   "bfgs+newton", "converged"),
     "warm_refit": (_refit_case, "bfgs+newton", "converged"),
 }
 
 
 @pytest.mark.parametrize("case", sorted(ONE_LOOP_CASES))
-def test_one_loop_repeats_the_staged_oracle(case, monkeypatch):
+def test_one_loop_repeats_the_staged_oracle(case):
     """A fit that ends within ``max_iter`` accepted steps gets the bits of
-    the two budgeted stages of ``cascade_oracle``."""
+    the two budgeted stages of ``cascade_oracle``; a forced BFGS line-search
+    failure is checked in ``test_failed_bfgs_line_search_hands_over_to_newton``."""
     make, stage, status = ONE_LOOP_CASES[case]
     data, spec, init = make()
-    if case == "forced_line_search_failure":
-        calls = []
-        backtrack = estimation._backtrack
-
-        def refuse_first(*args):
-            calls.append(1)
-            return None if len(calls) == 1 else backtrack(*args)
-
-        monkeypatch.setattr(estimation, "_backtrack", refuse_first)
     res = fit(data, spec, init=init)
-    if case == "forced_line_search_failure":
-        calls.clear()
     with staged():
         want = fit(data, spec, init=init)
     assert (want.optimizer_used, want.status) == (stage, status)
