@@ -18,18 +18,31 @@ unscaled.
 
 Both phases share one backtracking line search enforcing the Armijo
 sufficient-increase condition, so the sequence of accepted log-likelihood
-values is non-decreasing. Convergence means the sup-norm of the score drops
-below ``tol_grad``. The Newton phase ends the fit when it can no longer
-improve the objective: ``"stalled"`` (relative change below ``tol_ll`` on two
-consecutive accepted steps) or ``"line_search_failed"`` (no step length gives
-sufficient increase, or a difference step of its Hessian leaves the
-family's domain). Both phases count their accepted steps against one budget
-of ``max_iter``, so a fit makes at most ``max_iter`` iterations; a fit that
-uses it up ends ``"max_iters"``, in whichever phase it is.
+values is non-decreasing. The start point and each line search's first
+trial take the log-likelihood and the score from one forward pass
+(``ll_with_design(..., score=True)``), so an accepted first trial, the
+usual case, costs one pass; later trials evaluate the log-likelihood alone,
+and the score at one of them, once accepted, takes one more pass.
 
-``fit`` computes no Hessian at the optimum. ``fd_hessian(data, spec,
-res.params, use_weights)`` gives one on request: a central finite difference
-of the analytic score. No analytic second derivatives exist anywhere in the
+Convergence means the sup-norm of the score drops below ``tol_grad``. A step
+stalls when its relative log-likelihood change is below ``tol_ll``; in a cold
+BFGS phase it must also leave |g|_inf no smaller, since ``tol_ll`` is
+relative to |ll|, which grows with n, while ``tol_grad`` is absolute on a
+sum over n. Warm starts (bootstrap replicates, jackknife refits) and the
+Newton phase count every such step: on a replicate whose likelihood has a
+ridge, going on moves its end point along the ridge. Two stalls in a row
+end the BFGS phase, as does a failed line search. The Newton
+phase ends the fit when it can no longer improve the objective:
+``"stalled"`` or ``"line_search_failed"`` (no step length gives sufficient
+increase, or a difference step of its Hessian leaves the family's domain).
+Both phases count their accepted steps against one budget of ``max_iter``,
+so a fit makes at most ``max_iter`` iterations; a fit that uses it up ends
+``"max_iters"``, in whichever phase it is.
+
+At the optimum one more pass gives ``ll``, ``n_floored`` and ``ll_by_alt``.
+``fit`` computes no Hessian there. ``fd_hessian(data, spec, res.params,
+use_weights)`` gives one on request: a central finite difference of the
+analytic score. No analytic second derivatives exist anywhere in the
 package.
 """
 
@@ -60,7 +73,6 @@ from .likelihood import (
     Packing,
     build_design,
     gradient_with_design,
-    ll_by_alternative_with_design,
     ll_with_design,
     validate_params,
 )
@@ -117,7 +129,13 @@ class FitOptions:
 
 @dataclass
 class EstimationResult:
-    """Everything a downstream consumer needs about one fitted model."""
+    """Everything a downstream consumer needs about one fitted model.
+
+    ``status`` is ``"stalled"`` when two accepted Newton steps in a row gain
+    less than ``tol_ll`` relative (a cold BFGS phase hands such a stall to
+    the Newton phase only once |g|_inf has also stopped shrinking).
+    ``ll``, ``n_floored`` and ``ll_by_alt`` come from one forward pass at
+    ``packed``."""
 
     spec: ModelSpec
     params: NaturalParams
@@ -190,14 +208,18 @@ def default_init(data: ChoiceDataset | Design, spec: ModelSpec) -> np.ndarray:
 
 def _objective(design: Design, opts):
     # Exploratory line-search points may overflow shapes or violate a
-    # restricted domain; both simply mean "reject this point".
-    def f(x):
+    # restricted domain; both simply mean "reject this point". With
+    # ``score`` f returns (f, g) from one forward pass, g None where f is inf.
+    def f(x, score=False):
         with np.errstate(all="ignore"):
             try:
-                ll, _ = ll_with_design(design, x, opts.use_weights)
+                ll, _, *g = ll_with_design(design, x, opts.use_weights, score=score)
             except (DomainViolation, NonFiniteIndex):
-                return np.inf
-        return -ll if np.isfinite(ll) else np.inf
+                ll = np.nan
+        fx = -ll if np.isfinite(ll) else np.inf
+        if not score:
+            return fx
+        return fx, (-g[0] if np.isfinite(fx) else None)
 
     def g(x):
         with np.errstate(all="ignore"):
@@ -207,16 +229,20 @@ def _objective(design: Design, opts):
 
 
 def _backtrack(f, x, fx, gx, d):
-    """Armijo backtracking; returns (x_new, f_new) or None."""
+    """Armijo backtracking; returns (x_new, f_new, g_new) or None.
+
+    The first trial, almost always the accepted one, gets the gradient from
+    the same pass as f; later trials evaluate f alone, and g_new is ``None``
+    when one of them is accepted."""
     slope = float(gx @ d)
     if slope >= 0:
         return None
     alpha = 1.0
     for _ in range(MAX_HALVINGS + 1):
         x_new = x + alpha * d
-        f_new = f(x_new)
+        f_new, g_new = f(x_new, score=True) if alpha == 1.0 else (f(x_new), None)
         if np.isfinite(f_new) and f_new <= fx + ARMIJO_C1 * alpha * slope:
-            return x_new, f_new
+            return x_new, f_new, g_new
         alpha *= BACKTRACK_SHRINK
     return None
 
@@ -295,15 +321,20 @@ def fd_hessian(design_or_data, spec, params, use_weights=False) -> np.ndarray:
 
 def _ascend(f, g, x0, opts, h0=None):
     """The ascent from ``x0``; returns (x, fx, gx, iterations, status,
-    optimizer_used, ll_path)."""
-    fx = f(x0)
+    optimizer_used, ll_path).
+
+    In a cold BFGS phase (no ``h0``) a step stalls only if it gains less
+    than ``tol_ll`` relative and leaves |g|_inf no smaller; a warm start's
+    BFGS phase and the Newton phase count every such gain as a stall."""
+    fx, gx = f(x0, score=True)
     if not np.isfinite(fx):
         raise NonFiniteObjectiveAtInit(
             "log-likelihood is not finite at the starting point"
         )
-    x, gx, path = x0.copy(), g(x0), [-fx]
+    x, path = x0.copy(), [-fx]
     direction, update = _make_bfgs(h0)
     phase, it, stalls = "bfgs", 0, 0
+    score_aware = h0 is None
     while True:
         if np.max(np.abs(gx)) < opts.tol_grad:
             return x, fx, gx, it, "converged", phase, path
@@ -316,22 +347,24 @@ def _ascend(f, g, x0, opts, h0=None):
         if step is None:
             status = "line_search_failed"
         else:
-            x_new, f_new = step
-            g_new = g(x_new)
+            x_new, f_new, g_new = step
+            if g_new is None:
+                g_new = g(x_new)
             if update is not None:
                 update(x_new - x, g_new - gx)
             rel = abs(f_new - fx) / max(1.0, abs(f_new))
+            shrank = score_aware and np.max(np.abs(g_new)) < np.max(np.abs(gx))
             x, fx, gx = x_new, f_new, g_new
             path.append(-fx)
             it += 1
-            stalls = stalls + 1 if rel < opts.tol_ll else 0
+            stalls = stalls + 1 if rel < opts.tol_ll and not shrank else 0
             if stalls < 2 or np.max(np.abs(gx)) < opts.tol_grad:
                 continue
             status = "stalled"
         if phase != "bfgs":
             return x, fx, gx, it, status, phase, path
         direction, update = _make_newton_direction(g), None
-        phase, stalls = "bfgs+newton", 0
+        phase, stalls, score_aware = "bfgs+newton", 0, False
 
 
 def fit(
@@ -398,7 +431,7 @@ def fit(
         validate_params(spec, params, design.alternatives)
     except InvalidParams as e:
         raise InadmissibleOptimum(f"the optimum found is not admissible: {e}") from e
-    ll, floored = ll_with_design(design, x, opts.use_weights)
+    ll, floored, ll_by_alt = ll_with_design(design, x, opts.use_weights, by_alt=True)
 
     return EstimationResult(
         spec=spec,
@@ -406,7 +439,7 @@ def fit(
         packed=x,
         param_names=pk.names(),
         ll=ll,
-        ll_by_alt=ll_by_alternative_with_design(design, x, opts.use_weights),
+        ll_by_alt=ll_by_alt,
         score=-gx,
         grad_norm_inf=float(np.max(np.abs(gx))),
         status=status,

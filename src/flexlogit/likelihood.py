@@ -429,11 +429,11 @@ def build_design(data: ChoiceDataset, spec: ModelSpec) -> Design:
     return design
 
 
-def _forward(design: Design, params, grad=False):
+def _forward(design: Design, params, grad=False, ll=True):
     """Per-row probabilities, floored log chosen-probabilities and the number
-    floored (``None`` when ``grad``, which never reads them), dS/dV and
-    dS/dgamma per row (``None`` unless ``grad``) and the natural shape matrix
-    at ``params``, ``NaturalParams`` or packed.
+    floored (``None`` unless ``ll``), dS/dV and dS/dgamma per row (``None``
+    unless ``grad``) and the natural shape matrix at ``params``,
+    ``NaturalParams`` or packed.
 
     The softmax takes each observation's maximum by ``np.maximum.at`` and its
     sum by ``np.bincount`` over ``row_obs``; the sums add an observation's
@@ -468,7 +468,7 @@ def _forward(design: Design, params, grad=False):
     e = np.exp(expo - m[row_obs])
     P = e / np.bincount(row_obs, weights=e, minlength=n_obs)[row_obs]
     del m, e
-    if grad:
+    if not ll:
         return P, None, None, dSdV, dSdg, nat
     pc = P[design.chosen_rows]
     floored = int(np.sum(pc < PROB_FLOOR))
@@ -504,10 +504,21 @@ def log_likelihood(
     return ll
 
 
-def ll_with_design(design: Design, params, use_weights=False):
-    _, logp, floored, *_ = _forward(design, params)
-    w = design.weights_obs if use_weights else 1.0
-    return float(np.sum(w * logp)), floored
+def ll_with_design(design: Design, params, use_weights=False, score=False,
+                   by_alt=False):
+    """``(ll, floored)``, followed by the score when ``score`` and by the
+    split of ``ll_by_alternative`` when ``by_alt``, all from one forward
+    pass. The score equals ``gradient_with_design``'s bit for bit."""
+    P, logp, floored, dSdV, dSdg, nat = _forward(design, params, grad=score)
+    contrib = design.weights_obs * logp if use_weights else logp
+    out = (float(np.sum(contrib)), floored)
+    if score:
+        out += (_score(design, P, dSdV, dSdg, nat, use_weights),)
+    if by_alt:
+        chosen_alt = design.chosen_alt_by_obs()
+        out += ({int(a): float(np.sum(contrib[chosen_alt == a]))
+                 for a in design.alternatives},)
+    return out
 
 
 def ll_by_alternative(
@@ -522,13 +533,7 @@ def ll_by_alternative(
 
 
 def ll_by_alternative_with_design(design: Design, params, use_weights=False) -> dict[int, float]:
-    _, logp, *_ = _forward(design, params)
-    w = design.weights_obs if use_weights else 1.0
-    contrib = w * logp
-    chosen_alt = design.chosen_alt_by_obs()
-    return {
-        int(a): float(np.sum(contrib[chosen_alt == a])) for a in design.alternatives
-    }
+    return ll_with_design(design, params, use_weights, by_alt=True)[2]
 
 
 def gradient(
@@ -543,7 +548,12 @@ def gradient(
 
 
 def gradient_with_design(design: Design, params, use_weights=False) -> np.ndarray:
-    P, _, _, dSdV, dSdg, nat = _forward(design, params, grad=True)
+    P, _, _, dSdV, dSdg, nat = _forward(design, params, grad=True, ll=False)
+    return _score(design, P, dSdV, dSdg, nat, use_weights)
+
+
+def _score(design: Design, P, dSdV, dSdg, nat, use_weights) -> np.ndarray:
+    """The score in packed order from one forward pass's results."""
     J = len(design.alternatives)
     w_rows = design.weights_obs[design.row_obs] if use_weights else 1.0
     resid = (design.chosen.astype(float) - P) * w_rows

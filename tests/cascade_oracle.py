@@ -1,11 +1,16 @@
 """Two stages with a budget each: the oracle of ``flexlogit.estimation._ascend``.
 
 This is the ascent as it was before BFGS and its Newton finish shared one
-``max_iter`` budget. BFGS runs until it converges, stalls, fails its line
+``max_iter`` budget, before a line search took the gradient from the pass
+that evaluates its first trial, and before a cold BFGS phase counted a step
+that shrinks |g|_inf as progress. BFGS runs until it converges, stalls (two
+accepted steps in a row gain less than ``tol_ll`` relative), fails its line
 search or makes ``max_iter`` iterations; unless it converged, a Newton stage
 then starts from its point with a fresh budget and a reset stall count.
-``staged()`` swaps it in for the package's loop. A fit that ends within
-``max_iter`` accepted steps must get this oracle's bits from the package.
+Every accepted point costs f and then g. ``staged()`` swaps it in for the
+package's loop. A warm-started fit, or one whose cold BFGS phase never
+reached a stall, that ends within ``max_iter`` accepted steps must get this
+oracle's bits from the package; any other cold fit its optimum.
 """
 
 from contextlib import contextmanager
@@ -15,6 +20,21 @@ import numpy as np
 from flexlogit import estimation
 
 
+def backtrack(f, x, fx, gx, d):
+    """Armijo backtracking; returns (x_new, f_new) or None."""
+    slope = float(gx @ d)
+    if slope >= 0:
+        return None
+    alpha = 1.0
+    for _ in range(estimation.MAX_HALVINGS + 1):
+        x_new = x + alpha * d
+        f_new = f(x_new)
+        if np.isfinite(f_new) and f_new <= fx + estimation.ARMIJO_C1 * alpha * slope:
+            return x_new, f_new
+        alpha *= estimation.BACKTRACK_SHRINK
+    return None
+
+
 def stage_loop(direction, update, f, g, x, fx, gx, opts):
     """One stage; returns (x, fx, gx, iters, status, path)."""
     path = []
@@ -22,7 +42,7 @@ def stage_loop(direction, update, f, g, x, fx, gx, opts):
     for it in range(opts.max_iter):
         if np.max(np.abs(gx)) < opts.tol_grad:
             return x, fx, gx, it, "converged", path
-        step = estimation._backtrack(f, x, fx, gx, direction(x, gx))
+        step = backtrack(f, x, fx, gx, direction(x, gx))
         if step is None:
             return x, fx, gx, it, "line_search_failed", path
         x_new, f_new = step

@@ -389,6 +389,26 @@ def test_public_gradient_is_the_compiled_gradient():
         gradient(data, spec, bad)
 
 
+@pytest.mark.parametrize(
+    "transform", ["mnl", "cloglog", "scobit", "uneven_logit", "asym_logit", "czado"]
+)
+def test_one_pass_gives_the_separate_evaluators_bits(transform):
+    # the fit's line search asks for ll and the score together; they must be
+    # the values of an ll-only pass and of gradient_with_design, bit for bit
+    data = toy_dataset(n_obs=30, seed=23, weights=np.linspace(0.5, 2.5, 30))
+    spec = spec_for(transform)
+    design = build_design(data, spec)
+    x = np.random.default_rng(6).normal(0, 0.4, design.packing.dim)
+    for use_weights in (False, True):
+        ll, floored, score, by_alt = ll_with_design(design, x, use_weights,
+                                                    score=True, by_alt=True)
+        assert (ll, floored) == ll_with_design(design, x, use_weights)
+        assert np.array_equal(score, gradient_with_design(design, x, use_weights))
+        assert by_alt == ll_by_alternative(data, spec, design.packing.unpack(x),
+                                           use_weights)
+        assert sum(by_alt.values()) == pytest.approx(ll, rel=1e-12)
+
+
 def test_floored_probability_keeps_ll_finite():
     d = one_obs([[1.0], [0.0]])
     spec = ModelSpec("mnl", ref_alt=2, coefficients=(Coefficient("b", "x"),))
