@@ -321,11 +321,7 @@ def fd_hessian(design_or_data, spec, params, use_weights=False) -> np.ndarray:
 
 def _ascend(f, g, x0, opts, h0=None):
     """The ascent from ``x0``; returns (x, fx, gx, iterations, status,
-    optimizer_used, ll_path).
-
-    In a cold BFGS phase (no ``h0``) a step stalls only if it gains less
-    than ``tol_ll`` relative and leaves |g|_inf no smaller; a warm start's
-    BFGS phase and the Newton phase count every such gain as a stall."""
+    optimizer_used, ll_path); the stall rule is the module docstring's."""
     fx, gx = f(x0, score=True)
     if not np.isfinite(fx):
         raise NonFiniteObjectiveAtInit(
